@@ -1,13 +1,14 @@
 """The change of variables q = -exp(i*u) and the local MNOP identity.
 
-The substitution runs formally over Gaussian rationals; for a q <-> 1/q
-invariant function the imaginary parts and odd powers of u cancel exactly,
-leaving a real even Laurent series.  On the footnote function q/(1+q)^2 the
-result is (2 sin(u/2))^-2, computed here by a completely separate code path
-(trigonometric series versus exponential sums), and the same comparison run
-over a block of classes is the local MNOP identity: BPS-transformed
-Gromov-Witten series on one side, substituted multiple-cover functions of
-stable pairs on the other.
+The substitution runs over the rationals: centred on the midpoint of the
+denominator's degree range, a q <-> 1/q invariant function has only even
+powers of u, whose i^t factors are real signs, so a real even Laurent series
+comes out and no imaginary unit is ever formed.  On the footnote function
+q/(1+q)^2 the result is (2 sin(u/2))^-2, computed here by a completely
+separate code path (trigonometric series versus exponential sums), and the
+same comparison run over a block of classes is the local MNOP identity:
+BPS-transformed Gromov-Witten series on one side, substituted multiple-cover
+functions of stable pairs on the other.
 """
 
 from k3bps import (

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: table, yau-zaslow, gw, pairs, mnop-check, nl-demo, check.
-Output formats: json (exact strings, schema in the README), csv, pretty.
+Output formats: json (exact strings, schema in the README), csv (table,
+yau-zaslow, gw, pairs only), pretty.
 Exit codes: 0 success, 1 identity/assertion failure, 2 usage error.
 The KKV_LOG environment variable (debug/info/warning) controls verbosity.
 """
@@ -52,10 +53,17 @@ def _even_order(value: int, flag: str) -> None:
     _require(value >= 2 and value % 2 == 0, f"{flag} must be an even integer >= 2")
 
 
+def _no_csv(args) -> None:
+    _require(args.format != "csv", f"{args.command} supports --format json or pretty, not csv")
+
+
 def _write(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         log.info("wrote %s", args.out)
     else:
         sys.stdout.write(text)
@@ -189,6 +197,7 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_mnop_check(args) -> int:
+    _no_csv(args)
     _require(args.d >= 1, "--d must be >= 1")
     _require(args.h >= 0, "--h must be >= 0")
     _even_order(args.umax, "--umax")
@@ -232,6 +241,7 @@ def _demo_labels(m_max: int, h_max: int) -> list[ClassLabel]:
 
 
 def cmd_nl_demo(args) -> int:
+    _no_csv(args)
     _require(args.mmax >= 1, "--mmax must be >= 1")
     _require(args.hmax >= 0, "--hmax must be >= 0")
     _even_order(args.umax, "--umax")
@@ -275,6 +285,7 @@ def cmd_nl_demo(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _no_csv(args)
     _even_order(args.umax, "--umax")
     _require(args.dmax >= 1, "--dmax must be >= 1")
     _require(args.hmax >= 0, "--hmax must be >= 0")

@@ -17,15 +17,18 @@ the square, never by the divisibility, through the multiple cover formula
 
 where gamma(k) is a primitive class with the same square as (d/k)*beta.
 
-The substitution q = -exp(i*u) is carried out formally over Gaussian
-rationals; invariance under q <-> 1/q forces the result to be a real, even
-Laurent series in u, and both facts are asserted rather than assumed.
+The substitution q = -exp(i*u) needs no imaginary unit.  Centred on the
+midpoint a of the denominator's degree range, e^{-iau} p(-e^{iu}) has u^t
+coefficient i^t/t! * sum_j p_j (-1)^j (j-a)^t; invariance under q <-> 1/q
+makes every odd-t sum vanish, which is checked exactly, so only real even
+powers of u remain and the factor e^{-iau} cancels in the quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .bps import BpsTable, divisors, gw_grade_series
@@ -37,9 +40,9 @@ from .rational import (
     _pmul,
     _proot_multiplicity,
     _pval,
+    _synthetic_divide,
     check_q_inversion_symmetry,
 )
-from .scalars import GaussianRational, imag_part, real_part
 from .series import LaurentSeries
 
 
@@ -118,15 +121,6 @@ def _reduced_by_q_and_one_plus_q(
     return RationalFunction._from_coprime(numerator, denominator)
 
 
-def _synthetic_divide(p: tuple, root: Fraction) -> tuple:
-    out = [Fraction(0)] * (len(p) - 1)
-    carry = Fraction(0)
-    for i in range(len(p) - 1, 0, -1):
-        carry = p[i] + carry * root
-        out[i - 1] = carry
-    return tuple(out)
-
-
 class PairsLedger:
     """Cache of pairs series per class, with the inversion symmetry enforced.
 
@@ -198,41 +192,42 @@ def multiple_cover(
     return _multiple_cover_sum(label, lambda h: primitive_pairs_ratfn(h, grid))
 
 
-def _poly_at_minus_exp_iu(p: tuple, u_order: int) -> LaurentSeries:
-    """The u-series of p(-exp(i*u)) over Gaussian rationals.
+def _centred_u_series(p: tuple, centre2: int, u_order: int) -> LaurentSeries:
+    """The u-series of e^{-iau} p(-e^{iu}) with 2a = ``centre2``, over Fraction.
 
-    p(-e^{iu}) = sum_j p_j (-1)^j e^{iju}, so the u^t coefficient is
-    (i^t / t!) * sum_j p_j (-1)^j j^t.
+    Since p(-e^{iu}) = sum_j p_j (-1)^j e^{iju}, its u^t coefficient is i^t
+    times s_t = sum_j p_j (-1)^j (j - a)^t / t!.  Every odd s_t must vanish;
+    then i^t is the real sign (-1)^(t/2).  The sums run over integers: p is
+    cleared of denominators and (j - a) is doubled.
     """
-    weighted = [(j, c if j % 2 == 0 else -c) for j, c in enumerate(p) if c]
-    powers = {j: 1 for j, _ in weighted}
+    denom = lcm(*(c.denominator for c in p))
+    offsets = [2 * j - centre2 for j, c in enumerate(p) if c]
+    terms = [int(c * denom) * (-1) ** j for j, c in enumerate(p) if c]
     coeffs = []
-    t_factorial = 1
+    scale = denom  # denom * 2^t * t!
     for t in range(u_order + 1):
         if t:
-            t_factorial *= t
-            for j in powers:
-                powers[j] *= j
-        s = sum((c * powers[j] for j, c in weighted), Fraction(0)) / t_factorial
-        quadrant = t % 4
-        if quadrant == 0:
-            coeffs.append(GaussianRational(s, 0))
-        elif quadrant == 1:
-            coeffs.append(GaussianRational(0, s))
-        elif quadrant == 2:
-            coeffs.append(GaussianRational(-s, 0))
-        else:
-            coeffs.append(GaussianRational(0, -s))
+            scale *= 2 * t
+            terms = [x * m for x, m in zip(terms, offsets)]
+        total = sum(terms)
+        if t % 2 and total:
+            raise ArithmeticError(
+                f"nonzero u^{t} term about q^{Fraction(centre2, 2)}: the input was not "
+                "q <-> 1/q symmetric, or an arithmetic bug occurred"
+            )
+        coeffs.append(Fraction(-total if t % 4 == 2 else total, scale))
     return LaurentSeries("u", 0, coeffs, u_order)
 
 
 def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     """Formal substitution q = -exp(i*u) into a rational function of q.
 
-    The pole at u = 0 comes from the denominator vanishing at q = -1 and is
-    removed by exact Laurent division.  The result must be a real series in
-    even powers of u; a violation means r was not q <-> 1/q symmetric (or an
-    arithmetic bug) and raises.
+    Numerator and denominator are both centred on a = (lowest + highest
+    degree of the denominator) / 2, and the common factor e^{-iau} cancels in
+    the quotient.  For a q <-> 1/q symmetric r both centred series are real
+    and even in u; an odd term means r was not symmetric (or an arithmetic
+    bug) and raises.  The pole at u = 0 comes from the denominator vanishing
+    at q = -1 and is removed by exact Laurent division.
     """
     if r.is_zero:
         raise ValueError("the zero function has an identically vanishing numerator")
@@ -242,23 +237,12 @@ def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     # valuation-`pole` denominator is valid to work - 2*pole + zero, and the
     # valuation checks below need the window to reach both valuations.
     work = max(u_order, 0) + 2 * pole + zero + 2
-    num_series = _poly_at_minus_exp_iu(r.numerator, work)
-    den_series = _poly_at_minus_exp_iu(r.denominator, work)
+    centre2 = _pval(r.denominator) + len(r.denominator) - 1
+    num_series = _centred_u_series(r.numerator, centre2, work)
+    den_series = _centred_u_series(r.denominator, centre2, work)
     if den_series.valuation() != pole or num_series.valuation() != zero:
         raise ArithmeticError("substitution series valuation disagrees with root multiplicity")
-    quotient = (num_series * den_series.inverse()).truncate(u_order)
-    for degree, c in quotient.items():
-        if imag_part(c):
-            raise ArithmeticError(
-                f"imaginary residue {imag_part(c)}*i at u^{degree}: the input was not "
-                "q <-> 1/q symmetric, or an arithmetic bug occurred"
-            )
-        if degree % 2 and real_part(c):
-            raise ArithmeticError(
-                f"odd-degree coefficient {real_part(c)} at u^{degree}: the input was not "
-                "q <-> 1/q symmetric, or an arithmetic bug occurred"
-            )
-    return quotient.map_coefficients(real_part)
+    return (num_series * den_series.inverse()).truncate(u_order)
 
 
 def bps_table_from_grid(grid: KkvBpsGrid, d_max: int, h: int) -> BpsTable:

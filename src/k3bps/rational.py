@@ -102,17 +102,21 @@ def _peval(p: Poly, x):
     return acc
 
 
+def _synthetic_divide(p: Poly, root: Fraction) -> Poly:
+    """Quotient of p by (q - root), dropping the remainder."""
+    out = [Fraction(0)] * (len(p) - 1)
+    carry = Fraction(0)
+    for i in range(len(p) - 1, 0, -1):
+        carry = p[i] + carry * root
+        out[i - 1] = carry
+    return tuple(out)
+
+
 def _proot_multiplicity(p: Poly, root: Fraction) -> int:
     """Multiplicity of ``root`` as a zero of p (0 if not a root)."""
     mult = 0
     while p and _peval(p, root) == 0:
-        # synthetic division by (q - root)
-        out = [Fraction(0)] * (len(p) - 1)
-        carry = Fraction(0)
-        for i in range(len(p) - 1, 0, -1):
-            carry = p[i] + carry * root
-            out[i - 1] = carry
-        p = _trim(out)
+        p = _trim(_synthetic_divide(p, root))
         mult += 1
     return mult
 
@@ -134,18 +138,8 @@ def _pcompose_scaled_power(p: Poly, scale: Fraction, power: int) -> Poly:
 
 def _to_primitive_int(p: Poly) -> tuple:
     """Scale a rational polynomial to a primitive integer one (sign of leading > 0)."""
-    denom_lcm = 1
-    for c in p:
-        denom_lcm = lcm(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
-    if content > 1:
-        ints = [c // content for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    denom_lcm = lcm(*(c.denominator for c in p))
+    return _int_primitive(tuple(int(c * denom_lcm) for c in p))
 
 
 def _int_prem(a: tuple, b: tuple) -> tuple:
@@ -307,7 +301,7 @@ class RationalFunction:
         return nv - dv
 
     def evaluate(self, point):
-        """Exact evaluation at a Fraction or GaussianRational point."""
+        """Exact evaluation at a rational point."""
         den = _peval(self.denominator, point)
         if not den:
             raise ZeroDivisionError(f"denominator vanishes at {point}")

@@ -1,11 +1,13 @@
 """Exact scalar arithmetic.
 
 Rational scalars are plain :class:`fractions.Fraction` values (arbitrary
-precision, always reduced, positive denominator).  This module adds the one
-scalar type the standard library lacks: Gaussian rationals, i.e. numbers
-``re + im*i`` with rational real and imaginary parts and ``i**2 == -1``.
-They carry the formal imaginary unit needed by the ``q = -exp(i*u)``
-change of variables.
+precision, always reduced, positive denominator); :func:`as_fraction` is the
+one coercion the other modules use.
+
+:class:`GaussianRational` (numbers ``re + im*i`` with rational parts and
+``i**2 == -1``) and the unit :data:`I` remain public API, but the pipeline no
+longer uses them: the ``q = -exp(i*u)`` change of variables is computed over
+the rationals (see :func:`k3bps.pairs.substitute_q_minus_exp`).
 """
 
 from __future__ import annotations
@@ -157,15 +159,3 @@ class GaussianRational:
 
 #: The imaginary unit.
 I = GaussianRational(0, 1)
-
-
-def real_part(value) -> Fraction:
-    if isinstance(value, GaussianRational):
-        return value.re
-    return as_fraction(value)
-
-
-def imag_part(value) -> Fraction:
-    if isinstance(value, GaussianRational):
-        return value.im
-    return Fraction(0)

@@ -6,9 +6,8 @@ not zero: every arithmetic operation propagates the truncation pessimistically
 and asking for a coefficient beyond it raises, so precision loss is never
 silent.  Coefficients below ``min_degree`` are exactly zero.
 
-Coefficients may be :class:`fractions.Fraction` or
-:class:`~k3bps.scalars.GaussianRational`; no floating point is allowed
-anywhere.
+Coefficients are :class:`fractions.Fraction` (ints are coerced); no
+floating point is allowed anywhere.
 """
 
 from __future__ import annotations
@@ -16,15 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .scalars import GaussianRational
-
 #: Admissible formal variable tags.  u carries genus expansions, q carries
 #: box-counting/Euler-characteristic expansions, t is free for generic use.
 VARIABLES = ("u", "q", "t")
 
 
 def _coerce_scalar(value):
-    if isinstance(value, (Fraction, GaussianRational)):
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -159,7 +156,7 @@ class LaurentSeries:
         return self.map_coefficients(lambda c: -c)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = LaurentSeries.monomial(self.variable, 0, other, self.truncation_order)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -181,7 +178,7 @@ class LaurentSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = LaurentSeries.monomial(self.variable, 0, other, self.truncation_order)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -191,7 +188,7 @@ class LaurentSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             return self.map_coefficients(lambda c: c * other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -218,7 +215,7 @@ class LaurentSeries:
         return LaurentSeries(self.variable, lo, out, order)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             return self.map_coefficients(lambda c: other * c)
         return NotImplemented
 
@@ -248,7 +245,7 @@ class LaurentSeries:
         return LaurentSeries(self.variable, -val, b, order)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             return self.map_coefficients(lambda c: c / other)
         if isinstance(other, LaurentSeries):
             return self * other.inverse()

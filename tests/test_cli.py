@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from k3bps.cli import main
 
 
@@ -101,6 +103,23 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["values"][0] == ["1", "24"]
+
+
+def test_out_unwritable_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "table", "--hmax", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["mnop-check", "nl-demo", "check"])
+def test_csv_refused_where_unsupported(capsys, command):
+    code, out, err = run_cli(capsys, command, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {command} supports --format json or pretty, not csv"
 
 
 def test_nl_demo_is_deterministic(capsys):

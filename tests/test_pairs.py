@@ -139,6 +139,28 @@ def test_substitution_of_palindrome_gives_minus_two_cosine():
 def test_substitution_rejects_asymmetric_input():
     with pytest.raises(ArithmeticError, match="not\\s+q <-> 1/q symmetric"):
         substitute_q_minus_exp(RationalFunction((0, 1)), 6)
+    # 1/(1-q): the denominator's degree range centres on the half-integer 1/2
+    with pytest.raises(ArithmeticError, match="not\\s+q <-> 1/q symmetric"):
+        substitute_q_minus_exp(RationalFunction((1,), (1, -1)), 6)
+
+
+@pytest.mark.parametrize("d, h", [(1, 1), (2, 1)])
+def test_substitution_matches_sympy_series(grid5, d, h):
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    q = -sympy.exp(sympy.I * u)
+    fn = multiple_cover(HodgeLabel(d, h), grid5)
+
+    def at_q(poly):
+        return sum(sympy.Rational(c.numerator, c.denominator) * q**j for j, c in enumerate(poly))
+
+    expected = sympy.series(at_q(fn.numerator) / at_q(fn.denominator), u, 0, 9).removeO()
+    ours = substitute_q_minus_exp(fn, 8)
+    assert ours.truncation_order == 8
+    ours_expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * u**k for k, c in ours.items()
+    )
+    assert sympy.simplify(expected - ours_expr) == 0
 
 
 def test_substitution_rejects_zero():

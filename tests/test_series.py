@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3bps import LaurentSeries
+from k3bps import GaussianRational, LaurentSeries
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -46,6 +46,11 @@ def test_geometric_series_inverse():
 def test_inverse_of_one_minus_q_is_geometric():
     inv = LaurentSeries("q", 0, [1, -1], 8).inverse()
     assert inv == geometric(8)
+
+
+def test_gaussian_coefficients_are_rejected():
+    with pytest.raises(TypeError, match="GaussianRational"):
+        LaurentSeries("u", 0, [1, GaussianRational(0, 1)], 2)
 
 
 def test_inverse_of_monomial():
