@@ -8,8 +8,9 @@ integers or fractions.  The pieces:
   :mod:`k3bps.graded`, :mod:`k3bps.scalars` -- the algebra substrate.
 * :mod:`k3bps.bps` -- the Gopakumar-Vafa transform between Gromov-Witten
   potentials and BPS state counts, in both directions.
-* :mod:`k3bps.kkv` -- the KKV product formula, the genus-extracting lambda
-  basis, and the Yau-Zaslow specialization.
+* :mod:`k3bps.kkv` -- the KKV product formula expanded directly in lambda,
+  the z-expansion with its genus-extracting lambda basis as an oracle, and
+  the Yau-Zaslow specialization.
 * :mod:`k3bps.pairs` -- stable-pairs rational functions, the multiple cover
   formula, the q = -exp(i*u) substitution and the local MNOP identity check.
 * :mod:`k3bps.nl` -- Noether-Lefschetz style linear correspondences on

@@ -24,7 +24,14 @@ from .nl import (
     synthetic_k3_vectors,
     transfer_mnop,
 )
-from .pairs import HodgeLabel, PairsLedger, mnop_check, multiple_cover, substitute_q_minus_exp
+from .pairs import (
+    HodgeLabel,
+    PairsLedger,
+    grid_column,
+    mnop_check,
+    multiple_cover,
+    substitute_q_minus_exp,
+)
 from .rational import RationalFunction, check_q_inversion_symmetry, ratfn_expand
 from .series import LaurentSeries
 from .symlaurent import SymLaurentPoly
@@ -124,8 +131,7 @@ def check_substitution_identity(u_order: int) -> CheckResult:
 
 
 def check_mnop_grid(d_max: int, h_max: int, u_order: int) -> CheckResult:
-    need = max(d_max * d_max * (h_max - 1) + 1, h_max, 0)
-    grid = bps_grid_from_kkv(need)
+    grid = bps_grid_from_kkv(grid_column(d_max, h_max))
     ledger = PairsLedger(grid)
     for d in range(1, d_max + 1):
         for h in range(h_max + 1):
@@ -141,8 +147,7 @@ def check_mnop_grid(d_max: int, h_max: int, u_order: int) -> CheckResult:
 
 
 def check_symmetry_sweep(d_max: int, h_max: int) -> CheckResult:
-    need = max(d_max * d_max * (h_max - 1) + 1, h_max, 0)
-    grid = bps_grid_from_kkv(need)
+    grid = bps_grid_from_kkv(grid_column(d_max, h_max))
     ledger = PairsLedger(grid)
     count = 0
     for d in range(1, d_max + 1):

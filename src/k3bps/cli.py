@@ -4,6 +4,8 @@ Subcommands: table, yau-zaslow, gw, pairs, mnop-check, nl-demo, check.
 Output formats: json (exact strings, schema in the README), csv (table,
 yau-zaslow, gw, pairs only), pretty.
 Exit codes: 0 success, 1 identity/assertion failure, 2 usage error.
+A request whose KKV grid column exceeds MAX_GRID_COLUMN is refused with exit
+2 before any grid is built.
 The KKV_LOG environment variable (debug/info/warning) controls verbosity.
 """
 
@@ -30,7 +32,14 @@ from .jsonio import (
 )
 from .kkv import bps_grid_from_kkv, yau_zaslow_series
 from .nl import ClassLabel, NlMatrix, combine, synthetic_k3_vectors, transfer_mnop
-from .pairs import HodgeLabel, PairsLedger, bps_table_from_grid, mnop_check, multiple_cover
+from .pairs import (
+    HodgeLabel,
+    PairsLedger,
+    bps_table_from_grid,
+    grid_column,
+    mnop_check,
+    multiple_cover,
+)
 from .rational import check_q_inversion_symmetry, ratfn_expand
 
 log = logging.getLogger("k3bps")
@@ -38,6 +47,11 @@ log = logging.getLogger("k3bps")
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# Highest KKV grid column a command may ask for.  Column 200 takes about 12 s
+# and column 150 about 3 s on a 2-core Intel Xeon under CPython 3.11; the cost
+# grows like the fourth power of the column.
+MAX_GRID_COLUMN = 200
 
 
 class UsageError(Exception):
@@ -86,9 +100,16 @@ def _emit_pretty(args, lines) -> None:
     _write(args, "\n".join(lines) + "\n")
 
 
+def _require_column(column: int, what: str) -> int:
+    _require(
+        column <= MAX_GRID_COLUMN,
+        f"{what} needs KKV grid column {column}; the limit is {MAX_GRID_COLUMN}",
+    )
+    return column
+
+
 def _grid_for_label(d: int, h: int):
-    need = max(d * d * (h - 1) + 1, h, 0)
-    return bps_grid_from_kkv(need)
+    return bps_grid_from_kkv(_require_column(grid_column(d, h), f"(d={d}, h={h})"))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -98,7 +119,7 @@ def cmd_table(args) -> int:
     _require(args.hmax >= 0, "--hmax must be >= 0")
     g_max = args.gmax if args.gmax is not None else args.hmax
     _require(g_max >= 0, "--gmax must be >= 0")
-    grid = bps_grid_from_kkv(args.hmax)
+    grid = bps_grid_from_kkv(_require_column(args.hmax, f"--hmax {args.hmax}"))
     if args.format == "json":
         _emit_json(args, grid_to_jsonable(grid, g_max))
     elif args.format == "csv":
@@ -245,9 +266,11 @@ def cmd_nl_demo(args) -> int:
     _require(args.mmax >= 1, "--mmax must be >= 1")
     _require(args.hmax >= 0, "--hmax must be >= 0")
     _even_order(args.umax, "--umax")
+    need = _require_column(
+        grid_column(args.mmax, args.hmax), f"(m={args.mmax}, h={args.hmax})"
+    )
     rng = Random(args.seed)
     labels = _demo_labels(args.mmax, args.hmax)
-    need = max(max(lab.h for lab in labels), 0)
     grid = bps_grid_from_kkv(need)
     ledger = PairsLedger(grid)
     gw_vec, pairs_vec = synthetic_k3_vectors(labels, grid, args.umax, ledger)
@@ -312,6 +335,10 @@ def cmd_check(args) -> int:
             aspmor_d_max=6,
             cases=args.cases,
         )
+    _require_column(
+        grid_column(bounds["mnop_d_max"], bounds["mnop_h_max"]),
+        f"the MNOP sweep to (d={bounds['mnop_d_max']}, h={bounds['mnop_h_max']})",
+    )
     results = checks.run_all(seed=args.seed, inject_fault=args.inject_fault, **bounds)
     lines = [result.line() for result in results]
     failed = [result for result in results if not result.ok]

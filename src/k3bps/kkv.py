@@ -2,27 +2,42 @@
 
 The generating identity expanded here is
 
-    sum_{g,h >= 0} (-1)^g * n_{g,h} * (z - 2 + 1/z)^g * q^h
+    sum_{g,h >= 0} (-1)^g * n_{g,h} * lambda^g * q^h
         = prod_{n >= 1} 1 / ((1 - q^n)^20 * (1 - z*q^n)^2 * (1 - q^n/z)^2),
 
-where n_{g,h} is the BPS count for a class of square 2h-2 (independent of its
-divisibility).  The q^h coefficient of the right side is a symmetric Laurent
-polynomial in z of degree at most h, so writing it in the basis
-lambda^g = (z - 2 + 1/z)^g = (sqrt(z) - 1/sqrt(z))^(2g) is an exact triangular
-elimination and recovers one genus per power of lambda.
+with lambda = z - 2 + 1/z, where n_{g,h} is the BPS count for a class of
+square 2h-2 (independent of its divisibility).  Since
+(1 - z*q^n)(1 - q^n/z) = (1 - q^n)^2 - lambda*q^n, the n-th factor is
 
-Setting z -> 1 kills every g > 0 term and leaves the Yau-Zaslow genus-0
-series prod (1 - q^n)^(-24).
+    (1 - q^n)^(-24) * (1 - lambda*q^n / (1 - q^n)^2)^(-2),
+
+whose q^(n*s) coefficient is the integer polynomial
+P_s(lambda) = sum_{k=0..s} (k+1) * C(s+k+23, s-k) * lambda^k.
+:func:`bps_grid_from_kkv` multiplies these factors together with one list of
+integer lambda-coefficients per power of q; no Laurent polynomial, fraction
+or elimination is involved.
+
+The z-expansion is kept as an independent oracle.  :func:`kkv_product`
+expands the same product as one symmetric Laurent polynomial in z per q^h,
+and :func:`lambda_decompose` rewrites such a polynomial in the basis
+lambda^g = (sqrt(z) - 1/sqrt(z))^(2g) by exact triangular elimination; the
+tests compare the two expansions column by column.  Setting z -> 1 kills
+every g > 0 term and leaves the Yau-Zaslow genus-0 series
+prod (1 - q^n)^(-24), computed separately by :func:`yau_zaslow_series`.
 """
 
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from time import perf_counter
 
 from .series import LaurentSeries
 from .symlaurent import SymLaurentPoly
+
+log = logging.getLogger("k3bps")
 
 
 def _euler_power_coefficients(q_order: int, exponent: int) -> list[int]:
@@ -111,7 +126,7 @@ class KkvSeries:
 
 
 def kkv_product(q_order: int) -> KkvSeries:
-    """Expand the KKV product exactly up to q^q_order."""
+    """Expand the KKV product in z exactly up to q^q_order (the oracle route)."""
     if q_order < 0:
         raise ValueError("q_order must be >= 0")
     plain = _euler_power_coefficients(q_order, 20)
@@ -221,27 +236,43 @@ class KkvBpsGrid:
         return f"KkvBpsGrid(h_max={self.h_max})"
 
 
-def bps_grid_from_kkv(h_max: int) -> KkvBpsGrid:
-    """Extract n_{g,h} for h <= h_max from the KKV product.
+def _factor_coefficients(s: int) -> list[int]:
+    """lambda-coefficients of P_s, the q^(n*s) coefficient of the n-th KKV factor."""
+    return [(k + 1) * comb(s + k + 23, s - k) for k in range(s + 1)]
 
-    The (-1)^g sign is stripped during extraction so the grid stores the
-    counts with their conventional signs; every value must come out an
-    integer.
+
+def bps_grid_from_kkv(h_max: int) -> KkvBpsGrid:
+    """Extract n_{g,h} for h <= h_max from the KKV product, expanded in lambda.
+
+    Column h holds the integer lambda-coefficients of q^h.  Multiplying in
+    the n-th factor adds P_s * column[h - n*s] to column h for every s >= 1;
+    running h downwards keeps every column read free of that factor.  The q^h
+    coefficient has lambda-degree at most h, so column h has h + 1 entries,
+    and n_{g,h} = (-1)^g [lambda^g q^h]; the sign is stripped at the end so
+    the grid stores the counts with their conventional signs.
+
+    The z-route (:func:`kkv_product`, then :func:`lambda_decompose` per
+    column) computes the same grid independently and is its oracle in the
+    tests.
     """
-    series = kkv_product(h_max)
-    columns = []
-    for h in range(h_max + 1):
-        cs = lambda_decompose(series.coefficient(h))
-        column = []
-        for g in range(h + 1):
-            c = cs[g] if g < len(cs) else Fraction(0)
-            if c.denominator != 1:
-                raise ArithmeticError(
-                    f"non-integer BPS count {c} at (g={g}, h={h}): arithmetic bug"
-                )
-            column.append((-1) ** g * int(c))
-        columns.append(tuple(column))
-    return KkvBpsGrid(columns)
+    if h_max < 0:
+        raise ValueError("h_max must be >= 0")
+    start = perf_counter()
+    factors = [_factor_coefficients(s) for s in range(h_max + 1)]
+    columns = [[1]] + [[0] * (h + 1) for h in range(1, h_max + 1)]
+    for n in range(1, h_max + 1):
+        for h in range(h_max, n - 1, -1):
+            acc = columns[h]
+            for s in range(1, h // n + 1):
+                earlier = columns[h - n * s]
+                for k, p in enumerate(factors[s]):
+                    for g, c in enumerate(earlier, k):
+                        acc[g] += p * c
+    grid = KkvBpsGrid(
+        [-c if g % 2 else c for g, c in enumerate(column)] for column in columns
+    )
+    log.debug("bps_grid_from_kkv h_max=%d in %.3f s", h_max, perf_counter() - start)
+    return grid
 
 
 def yau_zaslow_series(h_max: int) -> LaurentSeries:

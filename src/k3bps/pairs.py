@@ -73,6 +73,15 @@ class HodgeLabel:
         return grade * grade * (self.h - 1) + 1
 
 
+def grid_column(d: int, h: int) -> int:
+    """The KKV grid column that the classes k*beta, k <= d, read.
+
+    For beta primitive with square label h this is the square label
+    d^2 (h-1) + 1 of d*beta, never below h or 0.
+    """
+    return max(d * d * (h - 1) + 1, h, 0)
+
+
 def primitive_pairs_ratfn(h: int, grid: KkvBpsGrid) -> RationalFunction:
     """Connected pairs series of a primitive class with square label h.
 

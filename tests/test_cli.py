@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -122,6 +123,39 @@ def test_csv_refused_where_unsupported(capsys, command):
     assert err.strip() == f"error: {command} supports --format json or pretty, not csv"
 
 
+def _no_grid(h_max):
+    raise AssertionError(f"asked to build the KKV grid to column {h_max}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pairs", "--d", "12", "--h", "3"], "(d=12, h=3) needs KKV grid column 289"),
+        (["table", "--hmax", "201"], "--hmax 201 needs KKV grid column 201"),
+        (["mnop-check", "--d", "12", "--h", "3"], "(d=12, h=3) needs KKV grid column 289"),
+        (["gw", "--dmax", "12", "--h", "3"], "(d=12, h=3) needs KKV grid column 289"),
+        (["nl-demo", "--mmax", "12", "--hmax", "3"], "(m=12, h=3) needs KKV grid column 289"),
+        (
+            ["check", "--dmax", "12", "--hmax", "3"],
+            "the MNOP sweep to (d=12, h=3) needs KKV grid column 289",
+        ),
+    ],
+)
+def test_grid_column_above_limit_is_refused_up_front(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr("k3bps.cli.bps_grid_from_kkv", _no_grid)
+    monkeypatch.setattr("k3bps.checks.bps_grid_from_kkv", _no_grid)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}; the limit is 200\n"
+
+
+def test_grid_column_at_limit_is_allowed(monkeypatch):
+    monkeypatch.setattr("k3bps.cli.bps_grid_from_kkv", _no_grid)
+    with pytest.raises(AssertionError, match="to column 200$"):
+        main(["table", "--hmax", "200"])
+
+
 def test_nl_demo_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "nl-demo", "--seed", "9", "--format", "json")
     code2, out2, _ = run_cli(capsys, "nl-demo", "--seed", "9", "--format", "json")
@@ -148,6 +182,23 @@ def test_check_quick_inject_fault_fails_with_location(capsys):
     assert code == 1
     assert "FAIL nl-transfer" in out
     assert "injected fault" in out
+
+
+@pytest.mark.parametrize("level, logged", [(None, False), ("debug", True)])
+def test_grid_timing_logged_only_under_kkv_log_debug(level, logged):
+    env = {k: v for k, v in os.environ.items() if k != "KKV_LOG"}
+    if level:
+        env["KKV_LOG"] = level
+    result = subprocess.run(
+        [sys.executable, "-m", "k3bps.cli", "table", "--hmax", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0
+    assert ("DEBUG k3bps: bps_grid_from_kkv h_max=2 in " in result.stderr) is logged
+    if not logged:
+        assert result.stderr == ""
 
 
 def test_console_script_entry_point():

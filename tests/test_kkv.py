@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 from math import comb
 
@@ -79,6 +80,30 @@ def test_grid_matches_reference_table():
     grid = bps_grid_from_kkv(4)
     for h, column in REFERENCE_TABLE.items():
         assert grid.column(h) == column
+
+
+def test_grid_matches_z_expansion_column_by_column():
+    # the lambda-recurrence against the independent z-route: expand in z, then
+    # eliminate in the basis lambda^g
+    h_max = 40
+    grid = bps_grid_from_kkv(h_max)
+    series = kkv_product(h_max)
+    for h in range(h_max + 1):
+        decomposed = lambda_decompose(series.coefficient(h))
+        assert grid.column(h) == tuple((-1) ** g * c for g, c in enumerate(decomposed))
+
+
+def test_grid_rejects_negative_bound():
+    with pytest.raises(ValueError, match="h_max"):
+        bps_grid_from_kkv(-1)
+
+
+def test_grid_logs_its_size_and_time_at_debug(caplog):
+    with caplog.at_level(logging.DEBUG, logger="k3bps"):
+        bps_grid_from_kkv(3)
+    (record,) = [r for r in caplog.records if "bps_grid_from_kkv" in r.getMessage()]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage().startswith("bps_grid_from_kkv h_max=3 in ")
 
 
 def test_grid_corner_value():
