@@ -2,15 +2,17 @@
 
 Each check returns a :class:`CheckResult`; a failing result carries the first
 mismatch location in its detail string.  The randomized suites are seeded and
-deterministic.
+deterministic.  :func:`run_all` records each check's wall time in
+``CheckResult.seconds``, which ``k3bps check --format json`` reports.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
+from time import perf_counter
 
 from .bps import BpsTable, GwPotential, bps_from_gw, gw_from_bps, sine_bracket
 from .graded import GradedSeries
@@ -52,6 +54,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -295,21 +298,26 @@ def run_all(
     inject_fault: bool = False,
 ) -> list[CheckResult]:
     rng = Random(seed)
-    results = [
-        check_kkv_table(),
-        check_yau_zaslow(law_h_max),
-        check_grid_laws(law_h_max),
-        check_aspinwall_morrison(aspmor_d_max),
-        check_footnote_series(),
-        check_substitution_identity(u_order),
-        check_mnop_grid(mnop_d_max, mnop_h_max, u_order),
-        check_symmetry_sweep(sym_d_max, sym_h_max),
-        check_exp_log_roundtrip(rng, cases),
-        check_gv_roundtrip(rng, cases),
-        check_lambda_roundtrip(rng, cases),
-        check_nl_roundtrip(rng, cases),
-        check_nl_transfer(rng, cases, inject_fault=inject_fault),
+    # run in this order: the randomized suites share rng
+    suite = [
+        lambda: check_kkv_table(),
+        lambda: check_yau_zaslow(law_h_max),
+        lambda: check_grid_laws(law_h_max),
+        lambda: check_aspinwall_morrison(aspmor_d_max),
+        lambda: check_footnote_series(),
+        lambda: check_substitution_identity(u_order),
+        lambda: check_mnop_grid(mnop_d_max, mnop_h_max, u_order),
+        lambda: check_symmetry_sweep(sym_d_max, sym_h_max),
+        lambda: check_exp_log_roundtrip(rng, cases),
+        lambda: check_gv_roundtrip(rng, cases),
+        lambda: check_lambda_roundtrip(rng, cases),
+        lambda: check_nl_roundtrip(rng, cases),
+        lambda: check_nl_transfer(rng, cases, inject_fault=inject_fault),
     ]
-    for result in results:
+    results = []
+    for check in suite:
+        start = perf_counter()
+        result = replace(check(), seconds=perf_counter() - start)
         log.info("%s", result.line())
+        results.append(result)
     return results

@@ -352,7 +352,8 @@ def cmd_check(args) -> int:
             {
                 "ok": not failed,
                 "checks": [
-                    {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
+                    {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
+                    for r in results
                 ],
             },
         )

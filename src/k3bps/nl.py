@@ -28,6 +28,7 @@ from .pairs import (
     multiple_cover,
     substitute_q_minus_exp,
 )
+from .rational import RationalFunction
 from .scalars import as_fraction
 from .series import LaurentSeries
 
@@ -69,7 +70,7 @@ class NlMatrix:
     :class:`ClassLabel` entries.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_inverse")
 
     def __init__(self, rows: Sequence, cols: Sequence[ClassLabel], data: Sequence[Sequence]) -> None:
         rows = tuple(rows)
@@ -82,6 +83,7 @@ class NlMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", grid)
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("NlMatrix is immutable")
@@ -131,11 +133,8 @@ class NlMatrix:
                 [Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)
             ]
             candidate = cls(rows, cols, data)
-            try:
-                candidate.inverse_data()
-            except SingularMatrixError:
-                continue
-            return candidate
+            if not isinstance(candidate._inverse_or_rank(), int):
+                return candidate
 
     @property
     def is_square(self) -> bool:
@@ -144,10 +143,15 @@ class NlMatrix:
     def entry(self, row, col: ClassLabel) -> Fraction:
         return self.data[self.rows.index(row)][self.cols.index(col)]
 
-    def inverse_data(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact inverse by Gaussian elimination; raises with the rank if singular."""
+    def _inverse_or_rank(self) -> tuple[tuple[Fraction, ...], ...] | int:
+        """The inverse rows, or the rank if singular; eliminated once per matrix."""
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", self._eliminate())
+        return self._inverse
+
+    def _eliminate(self) -> tuple[tuple[Fraction, ...], ...] | int:
         if not self.is_square:
-            raise SingularMatrixError(min(len(self.rows), len(self.cols)), len(self.rows))
+            return min(len(self.rows), len(self.cols))
         n = len(self.rows)
         work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.data)]
         rank = 0
@@ -164,8 +168,15 @@ class NlMatrix:
                     work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
             rank += 1
         if rank < n:
-            raise SingularMatrixError(rank, n)
+            return rank
         return tuple(tuple(row[n:]) for row in work)
+
+    def inverse_data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Exact inverse by Gaussian elimination; raises with the rank if singular."""
+        result = self._inverse_or_rank()
+        if isinstance(result, int):
+            raise SingularMatrixError(result, len(self.rows))
+        return result
 
     def __repr__(self) -> str:
         return f"NlMatrix({len(self.rows)}x{len(self.cols)})"
@@ -203,6 +214,8 @@ class InvariantVector:
 
 
 def _weighted_sum(weights: Iterable[tuple[Fraction, object]], example):
+    if isinstance(example, RationalFunction):
+        return RationalFunction.linear_combination(weights)
     total = None
     for weight, value in weights:
         if not weight:

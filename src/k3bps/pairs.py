@@ -174,17 +174,10 @@ class PairsLedger:
 def _multiple_cover_sum(
     label: HodgeLabel, lookup: Callable[[int], RationalFunction]
 ) -> RationalFunction:
-    total = RationalFunction.zero()
-    for k in divisors(label.d):
-        prim = lookup(label.h_of(k))
-        if prim.is_zero:
-            continue
-        if k == 1:
-            term = prim
-        else:
-            term = prim.substitute_scaled_power(Fraction((-1) ** (k + 1)), k)
-        total = total + term * Fraction(1, k)
-    return total
+    return RationalFunction.linear_combination(
+        (Fraction(1, k), lookup(label.h_of(k)).substitute_scaled_power((-1) ** (k + 1), k))
+        for k in divisors(label.d)
+    )
 
 
 def multiple_cover(

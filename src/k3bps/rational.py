@@ -5,6 +5,15 @@ makes equality decidable by structural comparison, which the identity checks
 rely on.  Expansion about q = 0 returns a truncated Laurent series; the
 q <-> 1/q inversion check is an exact polynomial identity.
 
+Reduction (a polynomial gcd and two exact divisions) is the expensive step,
+so a sum is reduced once, not after every addition:
+:meth:`RationalFunction.linear_combination` puts all its terms over one
+common denominator and canonicalizes the total, and ``+`` goes through it.
+Operations that cannot create a common factor skip the gcd altogether: for
+n/d in canonical form and a constant c != 0, gcd(c*n, d) = 1 and
+gcd(n + c*d, d) = gcd(n, d) = 1, and a power n^e/d^e of a coprime pair is
+coprime.
+
 Polynomials are dense tuples of Fractions, constant term first; the zero
 polynomial is the empty tuple.
 """
@@ -13,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .scalars import as_fraction
 from .series import LaurentSeries
@@ -71,6 +80,26 @@ def _pmul(a: Poly, b: Poly) -> Poly:
             if y:
                 out[i + j] += x * y
     return _trim(out)
+
+
+def _ppow(a: Poly, exponent: int) -> Poly:
+    """a**exponent for an integer exponent >= 0, by repeated squaring."""
+    out: Poly = (Fraction(1),)
+    while exponent:
+        if exponent & 1:
+            out = _pmul(out, a)
+        exponent >>= 1
+        if exponent:
+            a = _pmul(a, a)
+    return out
+
+
+def _pexact_div(a: Poly, b: Poly) -> Poly:
+    """a / b for a polynomial b known to divide a."""
+    quotient, remainder = _pdivmod(a, b)
+    if remainder:
+        raise ArithmeticError("exact polynomial division left a remainder")
+    return quotient
 
 
 def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -239,10 +268,8 @@ class RationalFunction:
         else:
             g = _pgcd(num, den)
             if _deg(g) > 0:
-                num, rn = _pdivmod(num, g)
-                den, rd = _pdivmod(den, g)
-                if rn or rd:
-                    raise ArithmeticError("gcd division left a remainder")
+                num = _pexact_div(num, g)
+                den = _pexact_div(den, g)
             lead = den[-1]
             if lead != 1:
                 num = _pscale(num, 1 / lead)
@@ -317,15 +344,49 @@ class RationalFunction:
             return RationalFunction((value,), (1,))
         return None
 
+    @classmethod
+    def linear_combination(cls, terms: Iterable[tuple]) -> "RationalFunction":
+        """The sum of weight * fn over (weight, fn) pairs, reduced once.
+
+        Weights are int or Fraction.  The terms are put over the lcm of the
+        distinct denominators (no work when they are all equal), their
+        scaled numerators are added in one pass, and only the total is
+        canonicalized.
+        """
+        parts = [(as_fraction(w), fn) for w, fn in terms if w and not fn.is_zero]
+        if not parts:
+            return cls.zero()
+        if len(parts) == 1:
+            weight, fn = parts[0]
+            return fn * weight
+        common = parts[0][1].denominator
+        for _, fn in parts[1:]:
+            den = fn.denominator
+            if den != common:
+                common = _pmul(common, _pexact_div(den, _pgcd(common, den)))
+        cofactors = {}
+        total: list = []
+        for weight, fn in parts:
+            num, den = fn.numerator, fn.denominator
+            if den != common:
+                if den not in cofactors:
+                    cofactors[den] = _pexact_div(common, den)
+                num = _pmul(num, cofactors[den])
+            total.extend([0] * (len(num) - len(total)))
+            for i, c in enumerate(num):
+                total[i] += weight * c
+        return cls(total, common)
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            # gcd(n + c*d, d) = gcd(n, d) = 1
+            return RationalFunction._from_coprime(
+                _padd(self.numerator, _pscale(self.denominator, other)),
+                self.denominator,
+            )
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        num = _padd(
-            _pmul(self.numerator, other.denominator),
-            _pmul(other.numerator, self.denominator),
-        )
-        return RationalFunction(num, _pmul(self.denominator, other.denominator))
+        return RationalFunction.linear_combination(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -333,8 +394,7 @@ class RationalFunction:
         return RationalFunction._from_coprime(_pneg(self.numerator), self.denominator)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (RationalFunction, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -342,6 +402,9 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # gcd(c*n, d) = 1 for a constant c != 0
+            return RationalFunction._from_coprime(_pscale(self.numerator, other), self.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -372,12 +435,13 @@ class RationalFunction:
     def __pow__(self, exponent: int) -> "RationalFunction":
         if not isinstance(exponent, int):
             raise TypeError("exponent must be an int")
+        num, den = self.numerator, self.denominator
         if exponent < 0:
-            return (RationalFunction.one() / self) ** (-exponent)
-        result = RationalFunction.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+            if self.is_zero:
+                raise ZeroDivisionError("negative power of the zero rational function")
+            num, den, exponent = den, num, -exponent
+        # a power of a coprime pair is coprime
+        return RationalFunction._from_coprime(_ppow(num, exponent), _ppow(den, exponent))
 
     # -- substitutions ----------------------------------------------------------
 

@@ -177,6 +177,16 @@ def test_check_quick_passes(capsys):
     assert "checks passed" in out
 
 
+def test_check_json_reports_seconds_per_check(capsys):
+    code, out, _ = run_cli(capsys, "check", "--quick", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 13
+    for check in checks:
+        assert set(check) == {"name", "ok", "detail", "seconds"}
+        assert isinstance(check["seconds"], float) and check["seconds"] >= 0
+
+
 def test_check_quick_inject_fault_fails_with_location(capsys):
     code, out, _ = run_cli(capsys, "check", "--quick", "--inject-fault")
     assert code == 1

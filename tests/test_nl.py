@@ -72,10 +72,22 @@ def test_label_mismatch_rejected():
 def test_singular_matrix_reports_rank():
     data = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
     nl = NlMatrix(ROWS, LABELS, data)
-    with pytest.raises(SingularMatrixError) as exc:
-        nl.inverse_data()
-    assert exc.value.rank == 2
-    assert exc.value.size == 3
+    for _ in range(2):  # the outcome is cached; every call still raises
+        with pytest.raises(SingularMatrixError) as exc:
+            nl.inverse_data()
+        assert exc.value.rank == 2
+        assert exc.value.size == 3
+
+
+def test_inverse_is_computed_once_per_matrix(monkeypatch):
+    nl = NlMatrix.random_invertible(ROWS, LABELS, Random(3))
+    monkeypatch.setattr(NlMatrix, "_eliminate", lambda self: pytest.fail("eliminated twice"))
+    first = nl.inverse_data()
+    assert nl.inverse_data() is first
+    product = [
+        [sum(nl.data[i][k] * first[k][j] for k in range(3)) for j in range(3)] for i in range(3)
+    ]
+    assert product == [[int(i == j) for j in range(3)] for i in range(3)]
 
 
 def test_roundtrip_with_random_matrices():

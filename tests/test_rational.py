@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3bps import (
@@ -10,12 +10,17 @@ from k3bps import (
     ratfn_eq,
     ratfn_expand,
 )
+from k3bps.rational import _padd, _pmul, _pscale
 
 coeffs = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=5
 )
 nonzero_polys = coeffs.filter(lambda cs: any(cs))
 ratfns = st.builds(RationalFunction, coeffs, nonzero_polys)
+scalars = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+)
 
 
 FOOTNOTE = RationalFunction((0, 1), (1, 2, 1))  # q / (1+q)^2
@@ -131,3 +136,82 @@ def test_symmetry_implies_equal_values_at_reciprocal_points(a, q0):
     except ZeroDivisionError:
         return
     assert left == right
+
+
+def _structure(fn):
+    return fn.numerator, fn.denominator
+
+
+def _eager_fold(terms):
+    """sum of w*f with a full reduction after every step: cross-multiply, then reduce."""
+    total = RationalFunction.zero()
+    for w, f in terms:
+        term = RationalFunction(_pscale(f.numerator, Fraction(w)), f.denominator)
+        total = RationalFunction(
+            _padd(_pmul(total.numerator, term.denominator), _pmul(term.numerator, total.denominator)),
+            _pmul(total.denominator, term.denominator),
+        )
+    return total
+
+
+ONE_OVER_1PQ = RationalFunction((1,), (1, 1))
+
+
+@given(st.lists(st.tuples(scalars, ratfns), max_size=4))
+@example([])
+@example([(0, FOOTNOTE), (Fraction(0), ONE_OVER_1PQ)])
+@example([(2, FOOTNOTE), (-2, FOOTNOTE), (1, RationalFunction.zero())])
+@example([(1, ONE_OVER_1PQ), (1, RationalFunction((0, 1), (1, 1)))])  # equal denominators, sum 1
+@example([(3, RationalFunction((1,), (1, -1))), (Fraction(1, 2), ONE_OVER_1PQ)])  # coprime
+def test_linear_combination_matches_eager_fold(terms):
+    lazy = RationalFunction.linear_combination(terms)
+    assert _structure(lazy) == _structure(_eager_fold(terms))
+    if lazy.is_zero:
+        assert _structure(lazy) == ((), (1,))
+
+
+@given(ratfns, scalars)
+def test_scalar_operations_match_generic_path(a, c):
+    constant = RationalFunction((c,))
+    product = RationalFunction(_pmul(a.numerator, (Fraction(c),)), a.denominator)
+    total = RationalFunction(_padd(a.numerator, _pscale(a.denominator, Fraction(c))), a.denominator)
+    assert _structure(a * c) == _structure(c * a) == _structure(product)
+    assert _structure(a + c) == _structure(c + a) == _structure(total)
+    assert _structure(a * c) == _structure(a * constant)
+    assert _structure(a - c) == _structure(a + (-constant))
+    assert _structure(c - a) == _structure(constant - a)
+
+
+@given(ratfns, st.integers(min_value=-3, max_value=4))
+@example(RationalFunction.zero(), -1)
+def test_pow_matches_reduced_product(a, e):
+    if e < 0 and a.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a ** e
+        return
+    base = a if e >= 0 else RationalFunction(a.denominator, a.numerator)
+    num, den = (Fraction(1),), (Fraction(1),)
+    for _ in range(abs(e)):
+        num, den = _pmul(num, base.numerator), _pmul(den, base.denominator)
+    assert _structure(a ** e) == _structure(RationalFunction(num, den))
+
+
+@settings(deadline=None)  # the first example pays for importing sympy
+@given(coeffs, nonzero_polys)
+def test_canonical_form_matches_sympy_cancel(num, den):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def as_expr(poly):
+        return sum(sympy.Rational(c.numerator, c.denominator) * q**j for j, c in enumerate(poly))
+
+    def as_tuple(expr):
+        coeffs = reversed(sympy.Poly(expr, q).all_coeffs())
+        return tuple(Fraction(int(c.p), int(c.q)) for c in coeffs)
+
+    p, d = sympy.fraction(sympy.cancel(as_expr(num) / as_expr(den)))
+    lead = sympy.Poly(d, q).LC()
+    expected = (as_tuple(p / lead), as_tuple(d / lead))
+    if expected[0] == (0,):
+        expected = ((), expected[1])
+    assert _structure(RationalFunction(num, den)) == expected
