@@ -262,6 +262,8 @@ def synthetic_k3_vectors(
     ledger: PairsLedger | None = None,
 ) -> tuple[InvariantVector, InvariantVector]:
     """Consistent (GW u-series, pairs rational function) vectors from KKV data."""
+    if ledger is None:
+        ledger = PairsLedger(grid)
     gw_values = {}
     pairs_values = {}
     for label in labels:

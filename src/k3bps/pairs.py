@@ -10,12 +10,17 @@ term-by-term under q = -exp(i*u), via the identity
 (2*sin(u/2))^2 = (1+q)^2 / q.  Each summand is palindromic, so P_h is
 invariant under q <-> 1/q.
 
+Over the denominator q^max(h-1, 0) * (1+q)^2 its numerator has the integer
+coefficients sum_g n_{g,h} * C(2g, j); no gcd is needed to reduce it.
+
 Imprimitive classes d*beta are assembled purely from primitive data keyed by
 the square, never by the divisibility, through the multiple cover formula
 
     P_{d*beta}(q) = sum_{k | d} (1/k) * P_{gamma(k)}( -(-q)^k ),
 
 where gamma(k) is a primitive class with the same square as (d/k)*beta.
+Every pairs function is reached through a :class:`PairsLedger`, which
+computes it once and checks its q <-> 1/q invariance.
 
 The substitution q = -exp(i*u) needs no imaginary unit.  Centred on the
 midpoint a of the denominator's degree range, e^{-iau} p(-e^{iu}) has u^t
@@ -28,16 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable
+from math import comb, lcm
 
 from .bps import BpsTable, divisors, gw_grade_series
 from .graded import GradedSeries
 from .kkv import KkvBpsGrid
 from .rational import (
     RationalFunction,
-    _padd,
-    _pmul,
     _proot_multiplicity,
     _pval,
     _synthetic_divide,
@@ -93,19 +95,16 @@ def primitive_pairs_ratfn(h: int, grid: KkvBpsGrid) -> RationalFunction:
         raise ValueError(f"grid only reaches h = {grid.h_max}, need column {h}")
     shift = max(h - 1, 0)
     # numerator = sum_g n_{g,h} q^(shift+1-g) (1+q)^(2g) over the common
-    # denominator q^shift (1+q)^2
-    numerator: tuple = ()
-    one_plus_q_sq = (Fraction(1), Fraction(2), Fraction(1))
-    power = (Fraction(1),)  # (1+q)^(2g)
+    # denominator q^shift (1+q)^2, in integers
+    numerator = [0] * (shift + h + 2)
     for g in range(h + 1):
         n = grid.value(g, h)
         if n:
-            term = tuple(Fraction(n) * c for c in power)
-            numerator = _padd(numerator, ((Fraction(0),) * (shift + 1 - g)) + term)
-        if g < h:
-            power = _pmul(power, one_plus_q_sq)
-    denominator = ((Fraction(0),) * shift) + one_plus_q_sq
-    return _reduced_by_q_and_one_plus_q(numerator, denominator, shift, 2)
+            low = shift + 1 - g
+            for j in range(2 * g + 1):
+                numerator[low + j] += n * comb(2 * g, j)
+    denominator = (0,) * shift + (1, 2, 1)
+    return _reduced_by_q_and_one_plus_q(tuple(numerator), denominator, shift, 2)
 
 
 def _reduced_by_q_and_one_plus_q(
@@ -131,10 +130,13 @@ def _reduced_by_q_and_one_plus_q(
 
 
 class PairsLedger:
-    """Cache of pairs series per class, with the inversion symmetry enforced.
+    """The one route to pairs series: computed once per class, each checked.
 
     ``primitive`` maps a square label h to the primitive series; ``imprimitive``
-    maps (d, h) with h the square label of the underlying primitive class.
+    maps (d, h) with h the square label of the underlying primitive class and
+    runs the multiple cover sum over cached primitive series.  Whatever either
+    returns has passed :func:`check_q_inversion_symmetry`; a failure raises
+    ``ArithmeticError``, since it can only be an arithmetic bug.
     """
 
     def __init__(self, grid: KkvBpsGrid) -> None:
@@ -155,11 +157,18 @@ class PairsLedger:
         return self._primitive[h]
 
     def imprimitive(self, d: int, h: int) -> RationalFunction:
+        """P_{d*beta}(q) = sum_{k|d} (1/k) * P_{gamma(k)}(-(-q)^k); the sign flip
+        for even k keeps each summand q <-> 1/q symmetric."""
         if (d, h) not in self._imprimitive:
-            self._imprimitive[(d, h)] = self._checked(
-                _multiple_cover_sum(HodgeLabel(d, h), self.primitive),
-                f"series at (d={d}, h={h})",
+            label = HodgeLabel(d, h)
+            total = RationalFunction.linear_combination(
+                (
+                    Fraction(1, k),
+                    self.primitive(label.h_of(k)).substitute_scaled_power((-1) ** (k + 1), k),
+                )
+                for k in divisors(d)
             )
+            self._imprimitive[(d, h)] = self._checked(total, f"series at (d={d}, h={h})")
         return self._imprimitive[(d, h)]
 
     @property
@@ -171,27 +180,20 @@ class PairsLedger:
         return dict(self._imprimitive)
 
 
-def _multiple_cover_sum(
-    label: HodgeLabel, lookup: Callable[[int], RationalFunction]
-) -> RationalFunction:
-    return RationalFunction.linear_combination(
-        (Fraction(1, k), lookup(label.h_of(k)).substitute_scaled_power((-1) ** (k + 1), k))
-        for k in divisors(label.d)
-    )
-
-
 def multiple_cover(
     label: HodgeLabel, grid: KkvBpsGrid, ledger: PairsLedger | None = None
 ) -> RationalFunction:
     """Pairs series of the class d*beta from primitive data only.
 
-    Implements P_{d*beta}(q) = sum_{k|d} (1/k) * P_{gamma(k)}(-(-q)^k); the
-    composition flips the sign of q for even k, so each summand stays
-    q <-> 1/q symmetric.
+    Always read through a ledger (a new one when none is passed), so the
+    result is symmetry-checked.  A ledger built on a grid with other columns
+    than ``grid`` raises ``ValueError`` rather than answer from other data.
     """
-    if ledger is not None:
-        return ledger.imprimitive(label.d, label.h)
-    return _multiple_cover_sum(label, lambda h: primitive_pairs_ratfn(h, grid))
+    if ledger is None:
+        ledger = PairsLedger(grid)
+    if ledger.grid.columns != grid.columns:
+        raise ValueError("the ledger was built on another KKV grid than the one passed")
+    return ledger.imprimitive(label.d, label.h)
 
 
 def _centred_u_series(p: tuple, centre2: int, u_order: int) -> LaurentSeries:
@@ -317,6 +319,8 @@ def disconnected_partition(
     The graded exponential of the connected entries d -> P_{d*beta}; taking
     the graded log returns the connected ledger.
     """
+    if ledger is None:
+        ledger = PairsLedger(grid)
     entries = {
         d: multiple_cover(HodgeLabel(d, h), grid, ledger) for d in range(1, d_max + 1)
     }

@@ -3,7 +3,8 @@
 The canonical form (numerator and denominator coprime, denominator monic)
 makes equality decidable by structural comparison, which the identity checks
 rely on.  Expansion about q = 0 returns a truncated Laurent series; the
-q <-> 1/q inversion check is an exact polynomial identity.
+q <-> 1/q inversion check compares a function with its reciprocal
+substitution, built in canonical form without a gcd.
 
 Reduction (a polynomial gcd and two exact divisions) is the expensive step,
 so a sum is reduced once, not after every addition:
@@ -261,31 +262,18 @@ class RationalFunction:
     def __init__(self, numerator, denominator=(1,)) -> None:
         num = _as_poly(numerator)
         den = _as_poly(denominator)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            den = (Fraction(1),)
-        else:
+        if num and den:
             g = _pgcd(num, den)
             if _deg(g) > 0:
                 num = _pexact_div(num, g)
                 den = _pexact_div(den, g)
-            lead = den[-1]
-            if lead != 1:
-                num = _pscale(num, 1 / lead)
-                den = _pscale(den, 1 / lead)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        self._set_normalized(num, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def _from_coprime(cls, numerator, denominator) -> "RationalFunction":
-        """Fast path for callers that guarantee gcd(num, den) == 1."""
-        self = object.__new__(cls)
-        num = _as_poly(numerator)
-        den = _as_poly(denominator)
+    def _set_normalized(self, num: Poly, den: Poly) -> None:
+        """Store a coprime pair with the zero numerator over 1 and den monic."""
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
@@ -296,6 +284,12 @@ class RationalFunction:
             den = _pscale(den, 1 / lead)
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def _from_coprime(cls, numerator, denominator) -> "RationalFunction":
+        """Fast path for callers that guarantee gcd(num, den) == 1."""
+        self = object.__new__(cls)
+        self._set_normalized(_as_poly(numerator), _as_poly(denominator))
         return self
 
     @classmethod
@@ -458,10 +452,15 @@ class RationalFunction:
         )
 
     def reciprocal_substitution(self) -> "RationalFunction":
-        """The rational function q -> 1/q, with powers of q cleared."""
+        """The rational function q -> 1/q, with powers of q cleared.
+
+        For n/d with degrees dn, dd this is q^(dd-dn) rev(n) / rev(d) after
+        moving the power of q to whichever side keeps it nonnegative.  The
+        reversed pair stays coprime: a common root r != 0 would give the
+        common root 1/r of n and d, and the constant terms are the pair's
+        coefficients at q^max(dn, dd), one of which is a leading coefficient.
+        """
         num, den = self.numerator, self.denominator
-        if not num:
-            return RationalFunction.zero()
         dn, dd = _deg(num), _deg(den)
         rnum = tuple(reversed(num))
         rden = tuple(reversed(den))
@@ -469,7 +468,7 @@ class RationalFunction:
             rnum = ((Fraction(0),) * (dd - dn)) + rnum
         else:
             rden = ((Fraction(0),) * (dn - dd)) + rden
-        return RationalFunction(rnum, rden)
+        return RationalFunction._from_coprime(rnum, rden)
 
     # -- comparison / display -----------------------------------------------------
 
@@ -517,20 +516,9 @@ def ratfn_expand(a: RationalFunction, order: int) -> LaurentSeries:
 def check_q_inversion_symmetry(a: RationalFunction) -> bool:
     """True iff a(q) == a(1/q) as rational functions.
 
-    Comparison is by exact polynomial identity: writing a = n/d with degrees
-    dn, dd, invariance means ``n(q)*rev(d)(q)*q**max(dn-dd,0) ==
-    d(q)*rev(n)(q)*q**max(dd-dn,0)``.
+    Exact by structural comparison: both ``a`` and its reciprocal
+    substitution are in canonical form (coprime, denominator monic, zero as
+    0/1), and a rational function has exactly one canonical form, so the two
+    functions are equal iff their numerator and denominator tuples are.
     """
-    num, den = a.numerator, a.denominator
-    if not num:
-        return True
-    dn, dd = _deg(num), _deg(den)
-    rnum = tuple(reversed(num))
-    rden = tuple(reversed(den))
-    left = _pmul(num, rden)
-    right = _pmul(den, rnum)
-    if dn >= dd:
-        left = ((Fraction(0),) * (dn - dd)) + left
-    else:
-        right = ((Fraction(0),) * (dd - dn)) + right
-    return left == right
+    return a.reciprocal_substitution() == a

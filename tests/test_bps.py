@@ -71,6 +71,19 @@ def test_sine_bracket_higher_genus_against_power_oracle():
         assert sine_bracket(1, g, order) == oracle
 
 
+@pytest.mark.parametrize("d, g", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 2), (3, 3)])
+def test_sine_bracket_matches_sympy_series(d, g):
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    order = 8
+    expected = sympy.series((2 * sympy.sin(d * u / 2)) ** (2 * g - 2), u, 0, order + 1).removeO()
+    ours = sine_bracket(d, g, order)
+    assert ours.truncation_order == order
+    for k in range(-2, order + 1):
+        c = ours.coefficient(k)
+        assert expected.coeff(u, k) == sympy.Rational(c.numerator, c.denominator), k
+
+
 def test_sine_bracket_even_parity():
     for g in (0, 2, 3):
         for degree, c in sine_bracket(3, g, 10).items():

@@ -148,6 +148,23 @@ def test_yau_zaslow_first_values():
     assert yau_zaslow_series(0).coefficient(0) == 1
 
 
+def test_yau_zaslow_matches_sympy_product_expansion():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+    from sympy.polys.ring_series import rs_mul, rs_pow
+    from sympy.polys.rings import ring
+
+    h_max = 20
+    _, q = ring("q", QQ)
+    product = q**0
+    for n in range(1, h_max + 1):
+        product = rs_mul(product, rs_pow(1 - q**n, -24, q, h_max + 1), q, h_max + 1)
+    yz = yau_zaslow_series(h_max)
+    for h in range(h_max + 1):
+        c = product.coeff(q**h)
+        assert yz.coefficient(h) == Fraction(int(c.numerator), int(c.denominator)), h
+
+
 def test_yau_zaslow_equals_z_one_specialization():
     h_max = 20
     specialized = kkv_product(h_max).specialize_z_one()

@@ -5,8 +5,10 @@ import pytest
 
 from k3bps import (
     HodgeLabel,
+    KkvBpsGrid,
     PairsLedger,
     RationalFunction,
+    bps_grid_from_kkv,
     bps_table_from_grid,
     check_q_inversion_symmetry,
     disconnected_partition,
@@ -40,9 +42,10 @@ def test_primitive_square_zero_from_table_values(grid5):
     assert primitive_pairs_ratfn(1, grid5) == expected
 
 
-def test_primitive_matches_generic_construction(grid20):
-    for h in range(7):
-        assert primitive_pairs_ratfn(h, grid20) == closed_form_oracle(h, grid20)
+def test_primitive_matches_generic_construction(grid65):
+    # h = 9, 17, 28 reach integer numerators with large binomials C(2g, j)
+    for h in (*range(7), 9, 17, 28):
+        assert primitive_pairs_ratfn(h, grid65) == closed_form_oracle(h, grid65)
 
 
 def test_primitive_negative_square_is_zero(grid5):
@@ -115,6 +118,20 @@ def test_ledger_caches_and_validates(grid5):
     assert ledger.imprimitive(2, 1) is first
     assert 1 in ledger.primitive_entries
     assert (2, 1) in ledger.imprimitive_entries
+
+
+def test_ledger_built_on_another_grid_is_refused(grid5):
+    fake = KkvBpsGrid([(1,), (7, -2)])
+    label = HodgeLabel(1, 1)
+    with pytest.raises(ValueError, match="another KKV grid"):
+        multiple_cover(label, fake, PairsLedger(grid5))
+    with pytest.raises(ValueError, match="another KKV grid"):
+        mnop_check(label, fake, 8, PairsLedger(grid5))
+    assert mnop_check(label, fake, 8).equal
+    # a ledger on a grid with the same columns is the same data
+    assert multiple_cover(label, grid5, PairsLedger(bps_grid_from_kkv(5))) == multiple_cover(
+        label, grid5
+    )
 
 
 def test_substitution_matches_sine_bracket_independently():

@@ -138,6 +138,37 @@ def test_symmetry_implies_equal_values_at_reciprocal_points(a, q0):
     assert left == right
 
 
+def _equal_at_reciprocal_points(a):
+    """a(x) == a(1/x) at deg(num) + deg(den) + 1 points x > 1 that are not poles.
+
+    a(x) - a(1/x) is a rational function of degree at most 2*max(deg) that
+    changes sign under x -> 1/x, so each zero x > 1 brings the distinct zero
+    1/x; more than max(deg) zeros above 1 make it vanish identically.
+    """
+    needed = len(a.numerator) + len(a.denominator) - 1
+    x = 2
+    while needed > 0:
+        try:
+            if a.evaluate(Fraction(x)) != a.evaluate(Fraction(1, x)):
+                return False
+            needed -= 1
+        except ZeroDivisionError:
+            pass
+        x += 1
+    return True
+
+
+@given(ratfns, st.booleans())
+@example(FOOTNOTE, False)
+@example(RationalFunction((0, 1)), False)  # q: a(x) == a(1/x) only at x = +-1
+@example(RationalFunction((1, 1, 1), (0, 1, 3)), False)  # deg num == deg den, not symmetric
+@example(RationalFunction.zero(), False)
+def test_symmetry_check_matches_values_at_reciprocal_points(a, symmetrise):
+    if symmetrise:
+        a = a + a.reciprocal_substitution()
+    assert check_q_inversion_symmetry(a) == _equal_at_reciprocal_points(a)
+
+
 def _structure(fn):
     return fn.numerator, fn.denominator
 
