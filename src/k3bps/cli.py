@@ -21,7 +21,7 @@ import sys
 from random import Random
 
 from . import checks
-from .bps import BpsTable, gw_from_bps
+from .bps import BpsTable, gw_from_bps, sine_bracket_cache_info
 from .jsonio import (
     grid_to_jsonable,
     matrix_to_jsonable,
@@ -347,6 +347,7 @@ def cmd_check(args) -> int:
         + (f"; first failure: {failed[0].name}" if failed else "")
     )
     if args.format == "json":
+        cache = sine_bracket_cache_info()
         _emit_json(
             args,
             {
@@ -355,6 +356,7 @@ def cmd_check(args) -> int:
                     {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
                     for r in results
                 ],
+                "caches": {"sine_bracket": {"hits": cache.hits, "misses": cache.misses}},
             },
         )
     else:

@@ -6,16 +6,19 @@ The generating identity expanded here is
         = prod_{n >= 1} 1 / ((1 - q^n)^20 * (1 - z*q^n)^2 * (1 - q^n/z)^2),
 
 with lambda = z - 2 + 1/z, where n_{g,h} is the BPS count for a class of
-square 2h-2 (independent of its divisibility).  Since
-(1 - z*q^n)(1 - q^n/z) = (1 - q^n)^2 - lambda*q^n, the n-th factor is
+square 2h-2 (independent of its divisibility).  Up to Euler factors and an
+elementary prefactor the product is theta_1(z, q)^(-2), and Jacobi's triple
+product gives
 
-    (1 - q^n)^(-24) * (1 - lambda*q^n / (1 - q^n)^2)^(-2),
+    D := prod_{n >= 1} (1 - q^n)(1 - z*q^n)(1 - q^n/z)
+       = sum_{m >= 0} (-1)^m * q^(m(m+1)/2) * S_m,
 
-whose q^(n*s) coefficient is the integer polynomial
-P_s(lambda) = sum_{k=0..s} (k+1) * C(s+k+23, s-k) * lambda^k.
-:func:`bps_grid_from_kkv` multiplies these factors together with one list of
-integer lambda-coefficients per power of q; no Laurent polynomial, fraction
-or elimination is involved.
+with S_m = sum_{|j| <= m} z^j, whose lambda-coefficients are the integers
+C(m+k+1, 2k+1) + C(m+k, 2k+1), k = 0..m.  So the KKV product is
+prod (1 - q^n)^(-18) / D^2, and :func:`bps_grid_from_kkv` divides the integer
+Euler power twice by the lacunary series D, with one list of integer
+lambda-coefficients per power of q; no Laurent polynomial, fraction or
+elimination is involved.
 
 The z-expansion is kept as an independent oracle.  :func:`kkv_product`
 expands the same product as one symmetric Laurent polynomial in z per q^h,
@@ -236,20 +239,28 @@ class KkvBpsGrid:
         return f"KkvBpsGrid(h_max={self.h_max})"
 
 
-def _factor_coefficients(s: int) -> list[int]:
-    """lambda-coefficients of P_s, the q^(n*s) coefficient of the n-th KKV factor."""
-    return [(k + 1) * comb(s + k + 23, s - k) for k in range(s + 1)]
+def _theta_coefficients(m: int) -> list[int]:
+    """lambda-coefficients of S_m = sum_{|j| <= m} z^j, the q^(m(m+1)/2) term of D up to sign."""
+    return [comb(m + k + 1, 2 * k + 1) + comb(m + k, 2 * k + 1) for k in range(m + 1)]
 
 
 def bps_grid_from_kkv(h_max: int) -> KkvBpsGrid:
     """Extract n_{g,h} for h <= h_max from the KKV product, expanded in lambda.
 
-    Column h holds the integer lambda-coefficients of q^h.  Multiplying in
-    the n-th factor adds P_s * column[h - n*s] to column h for every s >= 1;
-    running h downwards keeps every column read free of that factor.  The q^h
-    coefficient has lambda-degree at most h, so column h has h + 1 entries,
-    and n_{g,h} = (-1)^g [lambda^g q^h]; the sign is stripped at the end so
-    the grid stores the counts with their conventional signs.
+    By Jacobi's triple product the KKV product is prod (1 - q^n)^(-18) / D^2
+    with D = sum_{m >= 0} (-1)^m q^(T_m) S_m(lambda), T_m = m(m+1)/2.  Column
+    h holds the integer lambda-coefficients of q^h.  The columns start as the
+    Euler power prod (1 - q^n)^(-18) and are divided by D twice in place,
+    going up in h:
+
+        column[h] -= sum_{m >= 1, T_m <= h} (-1)^m S_m * column[h - T_m],
+
+    which reads only columns that are already divided.  D has only about
+    sqrt(2h) terms up to q^h, so the grid takes O(h_max^3) coefficient
+    products instead of the O(h_max^4) of multiplying in every factor.  The
+    q^h coefficient has lambda-degree at most h, so column h has h + 1
+    entries, and n_{g,h} = (-1)^g [lambda^g q^h]; the sign is stripped at the
+    end so the grid stores the counts with their conventional signs.
 
     The z-route (:func:`kkv_product`, then :func:`lambda_decompose` per
     column) computes the same grid independently and is its oracle in the
@@ -258,16 +269,24 @@ def bps_grid_from_kkv(h_max: int) -> KkvBpsGrid:
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
     start = perf_counter()
-    factors = [_factor_coefficients(s) for s in range(h_max + 1)]
-    columns = [[1]] + [[0] * (h + 1) for h in range(1, h_max + 1)]
-    for n in range(1, h_max + 1):
-        for h in range(h_max, n - 1, -1):
+    thetas = [
+        (m * (m + 1) // 2, [(-1) ** m * s for s in _theta_coefficients(m)])
+        for m in range(1, h_max + 1)
+        if m * (m + 1) // 2 <= h_max
+    ]
+    columns = [
+        [c] + [0] * h for h, c in enumerate(_euler_power_coefficients(h_max, 18))
+    ]
+    for _ in range(2):
+        for h in range(1, h_max + 1):
             acc = columns[h]
-            for s in range(1, h // n + 1):
-                earlier = columns[h - n * s]
-                for k, p in enumerate(factors[s]):
+            for t, theta in thetas:
+                if t > h:
+                    break
+                earlier = columns[h - t]
+                for k, s in enumerate(theta):
                     for g, c in enumerate(earlier, k):
-                        acc[g] += p * c
+                        acc[g] -= s * c
     grid = KkvBpsGrid(
         [-c if g % 2 else c for g, c in enumerate(column)] for column in columns
     )

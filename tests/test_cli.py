@@ -187,6 +187,49 @@ def test_check_json_reports_seconds_per_check(capsys):
         assert isinstance(check["seconds"], float) and check["seconds"] >= 0
 
 
+def test_check_json_reports_sine_bracket_cache(capsys, monkeypatch):
+    import k3bps.bps as bps
+
+    sine_bracket = bps.sine_bracket
+    sine_bracket.cache_clear()
+    # the counts stay readable when the name is rebound to a plain wrapper
+    monkeypatch.setattr(bps, "sine_bracket", lambda *args: sine_bracket(*args))
+    code, out, _ = run_cli(capsys, "check", "--quick", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"ok", "checks", "caches"}
+    counts = payload["caches"]["sine_bracket"]
+    assert set(counts) == {"hits", "misses"}
+    info = sine_bracket.cache_info()
+    assert (counts["hits"], counts["misses"]) == (info.hits, info.misses)
+    assert counts["hits"] > 0 and counts["misses"] > 0
+
+
+def test_check_reports_every_check_when_a_guard_raises(capsys, monkeypatch):
+    import k3bps.pairs as pairs
+    from k3bps.rational import RationalFunction
+
+    real = pairs.primitive_pairs_ratfn
+
+    def corrupt(h, grid):
+        fn = real(h, grid)
+        return fn + RationalFunction.monomial(1) if h == 1 else fn
+
+    monkeypatch.setattr(pairs, "primitive_pairs_ratfn", corrupt)
+    code, out, _ = run_cli(capsys, "check", "--quick")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 14
+    failed = {line.split(":")[0].split()[1] for line in lines[:13] if line.startswith("FAIL")}
+    # every check that reads the h = 1 primitive through a PairsLedger
+    assert failed == {"mnop-grid", "pairs-symmetry", "nl-transfer"}
+    assert (
+        "FAIL pairs-symmetry: primitive series at h=1 is not invariant under q <-> 1/q"
+        in out
+    )
+    assert lines[13] == "10/13 checks passed; first failure: mnop-grid"
+
+
 def test_check_quick_inject_fault_fails_with_location(capsys):
     code, out, _ = run_cli(capsys, "check", "--quick", "--inject-fault")
     assert code == 1

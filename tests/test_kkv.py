@@ -14,7 +14,7 @@ from k3bps import (
     lambda_power,
     yau_zaslow_series,
 )
-from k3bps.kkv import KkvBpsGrid
+from k3bps.kkv import KkvBpsGrid, _theta_coefficients
 
 REFERENCE_TABLE = {
     0: (1,),
@@ -83,14 +83,35 @@ def test_grid_matches_reference_table():
 
 
 def test_grid_matches_z_expansion_column_by_column():
-    # the lambda-recurrence against the independent z-route: expand in z, then
-    # eliminate in the basis lambda^g
+    # the triple-product division against the independent z-route: expand in
+    # z, then eliminate in the basis lambda^g
     h_max = 40
     grid = bps_grid_from_kkv(h_max)
     series = kkv_product(h_max)
     for h in range(h_max + 1):
         decomposed = lambda_decompose(series.coefficient(h))
         assert grid.column(h) == tuple((-1) ** g * c for g, c in enumerate(decomposed))
+
+
+def test_theta_coefficients_match_lambda_decomposition():
+    # S_m = z^-m + ... + z^m, the q^(m(m+1)/2) term of the triple product
+    for m in range(13):
+        s_m = SymLaurentPoly({j: 1 for j in range(-m, m + 1)})
+        assert _theta_coefficients(m) == lambda_decompose(s_m), m
+
+
+def test_large_grid_genus_zero_row_and_subdiagonal():
+    h_max = 150
+    grid = bps_grid_from_kkv(h_max)
+    yz = yau_zaslow_series(h_max)
+    assert [grid.value(0, h) for h in range(h_max + 1)] == [
+        yz.coefficient(h) for h in range(h_max + 1)
+    ]
+    # [z^(h-1) q^h] of the product is 20h + 2(h-1) (one factor q or z*q^2 next
+    # to (z*q)^j), and lambda^h contributes -2h(h+1) there, so
+    # n_{h-1,h} = (-1)^(h-1) (2h^2 + 24h - 2); the diagonal is checked by KkvBpsGrid
+    for h in range(1, h_max + 1):
+        assert grid.value(h - 1, h) == (-1) ** (h - 1) * (2 * h * h + 24 * h - 2), h
 
 
 def test_grid_rejects_negative_bound():
