@@ -41,10 +41,16 @@ def divisors(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def sine_bracket(d: int, g: int, order: int) -> LaurentSeries:
-    """Laurent series of ``(2*sin(d*u/2))**(2g-2)`` in u.
+    """Laurent series of ``(2*sin(d*u/2))**(2g-2)`` in u: even, led by (d*u)^(2g-2).
 
-    The leading term is ``(d*u)**(2g-2)``, all degrees are even and all
-    coefficients rational; for g = 0 the series starts at u^-2.
+    With x = d*u and m = g-1 >= 1,
+
+        (2*sin(x/2))**(2m) = (2m)! * sum_{n>=m} (-1)^(n-m) T(2n,2m) x^(2n)/(2n)!
+
+    in the central factorial numbers, the integers with T(0,0) = 1 and
+    T(2n,2j) = T(2n-2,2j-2) + j^2 T(2n-2,2j).  Rows are carried only up to
+    column m: O(order * g) integer operations.  g = 0 inverts the m = 1
+    series taken to order + 4, as the inverse loses four orders; g = 1 is 1.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -54,14 +60,20 @@ def sine_bracket(d: int, g: int, order: int) -> LaurentSeries:
         raise ValueError(f"truncation order {order} cannot hold the leading term u^{2 * g - 2}")
     if g == 1:
         return LaurentSeries.one("u", order)
-    # (2*sin(d*u/2))**2 = 2 - 2*cos(d*u): even, starts at d^2*u^2.  Carry four
-    # orders of margin so that squaring/inverting still reaches `order`.
-    work_order = order + 4
-    coeffs = [Fraction(0)] * (work_order + 1)
-    for k in range(1, work_order // 2 + 1):
-        coeffs[2 * k] = Fraction(2 * (-1) ** (k + 1) * d ** (2 * k), factorial(2 * k))
-    squared = LaurentSeries("u", 0, coeffs, work_order)
-    return (squared ** (g - 1)).truncate(order)
+    m, top = (1, order + 4) if g == 0 else (g - 1, order)
+    row = [1] + [0] * m  # T(2n, 2j) for j = 0..m, starting at n = 0
+    coeffs = [0] * (top - 2 * m + 1)  # degrees 2m..top
+    scale, denominator = factorial(2 * m), 1  # ratio (2m)! * d^(2n) / (2n)!
+    for n in range(1, top // 2 + 1):
+        for j in range(min(n, m), 0, -1):
+            row[j] = row[j - 1] + j * j * row[j]
+        row[0] = 0
+        scale *= d * d
+        denominator *= (2 * n - 1) * 2 * n
+        if n >= m:
+            coeffs[2 * (n - m)] = Fraction((-1) ** (n - m) * scale * row[m], denominator)
+    power = LaurentSeries("u", 2 * m, coeffs, top)
+    return power.inverse() if g == 0 else power
 
 
 # bound once, so the counts stay readable when the name ``sine_bracket`` is
@@ -113,10 +125,6 @@ class BpsTable:
 
     def value(self, g: int, d: int):
         return self.entries.get((g, d), 0)
-
-    def genus_bound(self, d: int) -> int:
-        """Largest genus with a nonzero entry at grade d (-1 when none)."""
-        return max((g for (g, dd) in self.entries if dd == d), default=-1)
 
     def max_genus(self) -> int:
         return max((g for (g, _) in self.entries), default=-1)
@@ -238,9 +246,7 @@ def bps_from_gw(potential: GwPotential, d_max: int) -> BpsTable:
     entries: dict[tuple[int, int], object] = {}
     for d in range(1, d_max + 1):
         residual = potential.grade_series(d)
-        for k in divisors(d):
-            if k == 1:
-                continue
+        for k in divisors(d)[1:]:
             e = d // k
             weight = Fraction(1, k)
             for g in range(0, top_genus + 1):

@@ -4,8 +4,8 @@ Subcommands: table, yau-zaslow, gw, pairs, mnop-check, nl-demo, check.
 Output formats: json (exact strings, schema in the README), csv (table,
 yau-zaslow, gw, pairs only), pretty.
 Exit codes: 0 success, 1 identity/assertion failure, 2 usage error.
-A request whose KKV grid column exceeds MAX_GRID_COLUMN is refused with exit
-2 before any grid is built.
+A request whose KKV grid column exceeds MAX_GRID_COLUMN, or whose --umax
+exceeds MAX_U_ORDER, is refused with exit 2 before any grid is built.
 The KKV_LOG environment variable (debug/info/warning) controls verbosity.
 """
 
@@ -48,10 +48,13 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Highest KKV grid column a command may ask for.  Column 200 takes about 12 s
-# and column 150 about 3 s on a 2-core Intel Xeon under CPython 3.11; the cost
-# grows like the fourth power of the column.
+# Highest KKV grid column a command may ask for, and highest --umax (the
+# u-order `gw` reaches at that column).  The grid costs O(h^3), 0.21 s at
+# column 200; the binding costs lie elsewhere (2-core Intel Xeon, CPython
+# 3.11): `mnop-check --d 14 --h 2` (column 197) about 11 s and 16 s at
+# --umax 402, `check --umax 402` 14 s, `gw --h 197 --dmax 1` 3 s.
 MAX_GRID_COLUMN = 200
+MAX_U_ORDER = 2 * MAX_GRID_COLUMN + 2
 
 
 class UsageError(Exception):
@@ -64,7 +67,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _even_order(value: int, flag: str) -> None:
-    _require(value >= 2 and value % 2 == 0, f"{flag} must be an even integer >= 2")
+    _require(
+        2 <= value <= MAX_U_ORDER and value % 2 == 0,
+        f"{flag} must be an even integer from 2 to {MAX_U_ORDER}",
+    )
 
 
 def _no_csv(args) -> None:

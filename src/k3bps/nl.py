@@ -312,11 +312,7 @@ def transfer_mnop(
             except ArithmeticError as err:
                 failures.append((label, "substitution failed", str(err)))
                 continue
-        lo = min(lhs.min_degree, rhs.min_degree)
-        for degree in range(lo, u_order + 1):
-            a = lhs.coefficient(degree)
-            b = rhs.coefficient(degree)
-            if a != b:
-                failures.append((label, degree, a, b))
-                break
+        mismatch = lhs.first_difference(rhs, u_order)
+        if mismatch:
+            failures.append((label, *mismatch))
     return TransferReport(not failures, tuple(failures))

@@ -300,14 +300,7 @@ def mnop_check(
     table = bps_table_from_grid(grid, label.d, label.h)
     lhs = gw_grade_series(table, label.d, u_order)
     rhs = substitute_q_minus_exp(multiple_cover(label, grid, ledger), u_order)
-    lo = min(lhs.min_degree, rhs.min_degree)
-    mismatch = None
-    for degree in range(lo, u_order + 1):
-        a = lhs.coefficient(degree)
-        b = rhs.coefficient(degree)
-        if a != b:
-            mismatch = (degree, a, b)
-            break
+    mismatch = lhs.first_difference(rhs, u_order)
     return MnopReport(label, mismatch is None, lhs, rhs, mismatch)
 
 

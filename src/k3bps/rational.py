@@ -313,14 +313,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.numerator
 
-    def order_at_zero(self) -> int | None:
-        """Order of vanishing at q = 0 (negative for a pole, None for 0)."""
-        nv = _pval(self.numerator)
-        if nv is None:
-            return None
-        dv = _pval(self.denominator)
-        return nv - dv
-
     def evaluate(self, point):
         """Exact evaluation at a rational point."""
         den = _peval(self.denominator, point)

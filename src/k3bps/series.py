@@ -316,14 +316,18 @@ class LaurentSeries:
     def __hash__(self) -> int:
         return hash((self.variable, self.min_degree, self.coefficients, self.truncation_order))
 
+    def first_difference(self, other: "LaurentSeries", through: int) -> tuple | None:
+        """Lowest ``(degree, a, b)`` up to ``through`` with a != b, or None."""
+        self._check_same_variable(other)
+        for degree in range(min(self.min_degree, other.min_degree), through + 1):
+            if self.coefficient(degree) != other.coefficient(degree):
+                return degree, self.coefficient(degree), other.coefficient(degree)
+        return None
+
     def agrees_with(self, other: "LaurentSeries", through: int | None = None) -> bool:
         """Coefficientwise equality on the common known window (up to ``through``)."""
-        self._check_same_variable(other)
         top = min(self.truncation_order, other.truncation_order)
-        if through is not None:
-            top = min(top, through)
-        lo = min(self.min_degree, other.min_degree)
-        return all(self.coefficient(k) == other.coefficient(k) for k in range(lo, top + 1))
+        return self.first_difference(other, top if through is None else min(top, through)) is None
 
     def _term_str(self, degree: int, coeff) -> str:
         x = self.variable

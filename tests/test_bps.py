@@ -65,10 +65,21 @@ def test_sine_bracket_scaling_oracle():
 
 
 def test_sine_bracket_higher_genus_against_power_oracle():
-    order = 8
-    for g in (2, 3):
-        oracle = (two_sine_half(1, order + 4) ** (2 * g - 2)).truncate(order)
-        assert sine_bracket(1, g, order) == oracle
+    input_sets = [
+        ((1,), (2, 3), (8,)),
+        # odd orders and the minimum order 2g-2 pin the truncation as well
+        ((1, 2, 3), (0, 2, 3, 4, 5, 6, 7, 8), (15, 17, None)),
+    ]
+    for ds, genera, orders in input_sets:
+        for d in ds:
+            for g in genera:
+                for order in orders:
+                    order = 2 * g - 2 if order is None else order
+                    if g == 0:
+                        oracle = (two_sine_half(d, order + 6) ** 2).inverse().truncate(order)
+                    else:
+                        oracle = (two_sine_half(d, order + 4) ** (2 * g - 2)).truncate(order)
+                    assert sine_bracket(d, g, order) == oracle, (d, g, order)
 
 
 @pytest.mark.parametrize("d, g", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 2), (3, 3)])

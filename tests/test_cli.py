@@ -82,6 +82,31 @@ def test_mnop_check_rejects_odd_or_zero_umax(capsys):
     assert run_cli(capsys, "mnop-check", "--umax", "7")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gw", "--single-state"],
+        ["mnop-check", "--d", "1", "--h", "1"],
+        ["nl-demo"],
+        ["check", "--quick"],
+    ],
+)
+def test_umax_above_limit_is_refused_up_front(capsys, monkeypatch, command):
+    monkeypatch.setattr("k3bps.cli.bps_grid_from_kkv", _no_grid)
+    monkeypatch.setattr("k3bps.checks.bps_grid_from_kkv", _no_grid)
+    for umax in ("404", "1000"):
+        code, out, err = run_cli(capsys, *command, "--umax", umax)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --umax must be an even integer from 2 to 402\n"
+
+
+def test_umax_at_limit_is_allowed(capsys):
+    code, out, _ = run_cli(capsys, "gw", "--single-state", "--dmax", "1", "--umax", "402")
+    assert code == 0
+    assert out.startswith("Gromov-Witten potential, u-truncation 402:")
+
+
 def test_unknown_arguments_exit_2(capsys):
     assert main(["table", "--bogus"]) == 2
     assert main(["no-such-command"]) == 2

@@ -219,6 +219,13 @@ def test_mnop_check_composite_divisor_sets():
         assert outcome.equal, outcome.first_mismatch
 
 
+def test_mnop_check_high_genus_primitive():
+    # h = 60 needs the sine brackets of every genus up to 60 through u^122,
+    # checked against the pairs side, which shares no series code with them
+    report = mnop_check(HodgeLabel(1, 60), bps_grid_from_kkv(60), 122)
+    assert report.equal, report.first_mismatch
+
+
 def test_mnop_report_truthiness(grid20, ledger20):
     report = mnop_check(HodgeLabel(2, 1), grid20, 10, ledger20)
     assert bool(report)
