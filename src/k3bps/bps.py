@@ -2,15 +2,15 @@
 integer state counts.
 
 For a threefold whose curve classes are multiples of one primitive class, the
-genus-graded Gromov-Witten series at grade D is
+genus-graded Gromov-Witten series at grade D sums primitive series at rescaled u,
 
-    sum_{g} N_{g,D} u^(2g-2)
-        = sum_{k | D} (1/k) * sum_{g} n_{g,D/k} * (2*sin(k*u/2))^(2g-2).
+    sum_{g} N_{g,D} u^(2g-2) = sum_{k | D} (1/k) * F_{D/k}(k*u),
+    F_e(u) = sum_{g} n_{g,e} * (2*sin(u/2))^(2g-2),
 
-The relation is upper triangular with unit diagonal (grade-by-grade over
-divisors, genus-by-genus within a grade), so it inverts exactly; the inverse
-need not produce integers for arbitrary rational input, and integrality is
-reported rather than assumed.
+so only the d = 1 sine brackets are expanded.  The relation is upper triangular
+with unit diagonal (grade-by-grade over divisors, genus-by-genus within a
+grade), so it inverts exactly; the inverse need not produce integers for
+arbitrary rational input, and integrality is reported rather than assumed.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ def divisors(n: int) -> list[int]:
 def sine_bracket(d: int, g: int, order: int) -> LaurentSeries:
     """Laurent series of ``(2*sin(d*u/2))**(2g-2)`` in u: even, led by (d*u)^(2g-2).
 
-    With x = d*u and m = g-1 >= 1,
+    The d = 1 series is rescaled by u -> d*u.  With m = g-1 >= 1,
 
-        (2*sin(x/2))**(2m) = (2m)! * sum_{n>=m} (-1)^(n-m) T(2n,2m) x^(2n)/(2n)!
+        (2*sin(u/2))**(2m) = (2m)! * sum_{n>=m} (-1)^(n-m) T(2n,2m) u^(2n)/(2n)!
 
     in the central factorial numbers, the integers with T(0,0) = 1 and
     T(2n,2j) = T(2n-2,2j-2) + j^2 T(2n-2,2j).  Rows are carried only up to
@@ -58,17 +58,18 @@ def sine_bracket(d: int, g: int, order: int) -> LaurentSeries:
         raise ValueError("g must be >= 0")
     if order < 2 * g - 2:
         raise ValueError(f"truncation order {order} cannot hold the leading term u^{2 * g - 2}")
+    if d > 1:
+        return sine_bracket(1, g, order).rescaled(d)
     if g == 1:
         return LaurentSeries.one("u", order)
     m, top = (1, order + 4) if g == 0 else (g - 1, order)
     row = [1] + [0] * m  # T(2n, 2j) for j = 0..m, starting at n = 0
     coeffs = [0] * (top - 2 * m + 1)  # degrees 2m..top
-    scale, denominator = factorial(2 * m), 1  # ratio (2m)! * d^(2n) / (2n)!
+    scale, denominator = factorial(2 * m), 1  # (2m)! and (2n)!
     for n in range(1, top // 2 + 1):
         for j in range(min(n, m), 0, -1):
             row[j] = row[j - 1] + j * j * row[j]
         row[0] = 0
-        scale *= d * d
         denominator *= (2 * n - 1) * 2 * n
         if n >= m:
             coeffs[2 * (n - m)] = Fraction((-1) ** (n - m) * scale * row[m], denominator)
@@ -190,20 +191,27 @@ class GwPotential:
         return f"GwPotential({self.entries!r}, u_truncation={self.u_truncation})"
 
 
-def gw_grade_series(table: BpsTable, d: int, u_order: int) -> LaurentSeries:
-    """Forward transform at a single grade, as a u-series.
+def _covers(entries: Mapping, d: int, ks: list[int], u_order: int) -> list:
+    """The terms (1/k, F_{d/k}(k*u)) of grade d for k in ks, F_e built from the
+    d = 1 brackets only.  A zero F_e is left out, as is an entry whose leading
+    degree 2g-2 exceeds the truncation: it contributes nothing below it."""
+    covers = []
+    for k in ks:
+        primitive = [
+            (value, sine_bracket(1, g, u_order))
+            for (g, e), value in entries.items()
+            if e * k == d and 2 * g - 2 <= u_order
+        ]
+        if primitive:
+            covers.append((Fraction(1, k), LaurentSeries.linear_combination(primitive).rescaled(k)))
+    return covers
 
-    Entries whose leading degree 2g-2 exceeds the truncation contribute
-    nothing below it and are skipped.
-    """
-    total = LaurentSeries.zero("u", u_order)
-    for k in divisors(d):
-        e = d // k
-        weight = Fraction(1, k)
-        for (g, grade), value in table.entries.items():
-            if grade != e or 2 * g - 2 > u_order:
-                continue
-            total = total + sine_bracket(k, g, u_order) * (weight * as_fraction(value))
+
+def gw_grade_series(table: BpsTable, d: int, u_order: int) -> LaurentSeries:
+    """Forward transform at a single grade: sum_{k | d} (1/k) F_{d/k}(k*u)."""
+    total = LaurentSeries.linear_combination(
+        [(1, LaurentSeries.zero("u", u_order))] + _covers(table.entries, d, divisors(d), u_order)
+    )
     for deg, c in total.items():
         if deg % 2 and c:
             raise ArithmeticError(
@@ -220,22 +228,19 @@ def gw_from_bps(table: BpsTable, d_max: int, u_order: int | None = None) -> GwPo
     if u_order is None:
         u_order = 2 * max(table.max_genus(), 0) + 2
     entries: dict[tuple[int, int], Fraction] = {}
-    top_genus = (u_order + 2) // 2
     for d in range(1, d_max + 1):
-        series = gw_grade_series(table, d, u_order)
-        for g in range(0, top_genus + 1):
-            value = series.coefficient(2 * g - 2)
+        for degree, value in gw_grade_series(table, d, u_order).items():
             if value:
-                entries[(g, d)] = value
+                entries[(degree + 2) // 2, d] = value
     return GwPotential(entries, u_order)
 
 
 def bps_from_gw(potential: GwPotential, d_max: int) -> BpsTable:
     """The unique BPS table whose forward transform matches the potential.
 
-    Works grade-by-grade (divisor recursion) and genus-by-genus (triangular
-    solve against the unit-leading sine brackets).  Non-integer results are
-    kept as Fractions and reported by the returned table, not rejected.
+    Works grade-by-grade (subtract the covers (1/k) F_{d/k}(k*u), k > 1) and
+    genus-by-genus (triangular solve against the unit-leading d = 1 brackets).
+    Non-integer results are kept as Fractions and reported, not rejected.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -245,16 +250,10 @@ def bps_from_gw(potential: GwPotential, d_max: int) -> BpsTable:
     top_genus = (u_order + 2) // 2
     entries: dict[tuple[int, int], object] = {}
     for d in range(1, d_max + 1):
-        residual = potential.grade_series(d)
-        for k in divisors(d)[1:]:
-            e = d // k
-            weight = Fraction(1, k)
-            for g in range(0, top_genus + 1):
-                value = entries.get((g, e))
-                if value:
-                    residual = residual - sine_bracket(k, g, u_order) * (
-                        weight * as_fraction(value)
-                    )
+        covered = _covers(entries, d, divisors(d)[1:], u_order)
+        residual = LaurentSeries.linear_combination(
+            [(1, potential.grade_series(d))] + [(-w, f) for w, f in covered]
+        )
         for g in range(0, top_genus + 1):
             c = residual.coefficient(2 * g - 2)
             if c:

@@ -4,8 +4,9 @@ Subcommands: table, yau-zaslow, gw, pairs, mnop-check, nl-demo, check.
 Output formats: json (exact strings, schema in the README), csv (table,
 yau-zaslow, gw, pairs only), pretty.
 Exit codes: 0 success, 1 identity/assertion failure, 2 usage error.
-A request whose KKV grid column exceeds MAX_GRID_COLUMN, or whose --umax
-exceeds MAX_U_ORDER, is refused with exit 2 before any grid is built.
+A request whose KKV grid column or divisibility (gw --dmax, pairs and
+mnop-check --d) exceeds MAX_GRID_COLUMN, or whose --umax exceeds MAX_U_ORDER,
+is refused with exit 2 before any grid is built.
 The KKV_LOG environment variable (debug/info/warning) controls verbosity.
 """
 
@@ -48,11 +49,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Highest KKV grid column a command may ask for, and highest --umax (the
-# u-order `gw` reaches at that column).  The grid costs O(h^3), 0.21 s at
-# column 200; the binding costs lie elsewhere (2-core Intel Xeon, CPython
-# 3.11): `mnop-check --d 14 --h 2` (column 197) about 11 s and 16 s at
-# --umax 402, `check --umax 402` 14 s, `gw --h 197 --dmax 1` 3 s.
+# Highest KKV grid column and highest divisibility a command may ask for, and
+# highest --umax (the u-order `gw` reaches at column 200).  The grid costs
+# 0.21 s at column 200; the binding costs are elsewhere (2-core Intel Xeon,
+# CPython 3.11): `gw --h 1 --dmax 200 --umax 402` 15 s, `mnop-check --d 14
+# --h 2 --umax 402` 16 s, `check --umax 402` 14 s, `pairs --d 200 --h 1` 2 s.
 MAX_GRID_COLUMN = 200
 MAX_U_ORDER = 2 * MAX_GRID_COLUMN + 2
 
@@ -70,6 +71,13 @@ def _even_order(value: int, flag: str) -> None:
     _require(
         2 <= value <= MAX_U_ORDER and value % 2 == 0,
         f"{flag} must be an even integer from 2 to {MAX_U_ORDER}",
+    )
+
+
+def _divisibility(value: int, flag: str) -> None:
+    _require(
+        1 <= value <= MAX_GRID_COLUMN,
+        f"{flag} must be an integer from 1 to {MAX_GRID_COLUMN}, the divisibility bound",
     )
 
 
@@ -164,7 +172,7 @@ def cmd_yau_zaslow(args) -> int:
 
 
 def cmd_gw(args) -> int:
-    _require(args.dmax >= 1, "--dmax must be >= 1")
+    _divisibility(args.dmax, "--dmax")
     _require(args.h >= 0, "--h must be >= 0")
     if args.umax is not None:
         _even_order(args.umax, "--umax")
@@ -190,7 +198,7 @@ def cmd_gw(args) -> int:
 
 
 def cmd_pairs(args) -> int:
-    _require(args.d >= 1, "--d must be >= 1")
+    _divisibility(args.d, "--d")
     _require(args.h >= 0, "--h must be >= 0")
     _require(args.qmax >= 0, "--qmax must be >= 0")
     grid = _grid_for_label(args.d, args.h)
@@ -225,7 +233,7 @@ def cmd_pairs(args) -> int:
 
 def cmd_mnop_check(args) -> int:
     _no_csv(args)
-    _require(args.d >= 1, "--d must be >= 1")
+    _divisibility(args.d, "--d")
     _require(args.h >= 0, "--h must be >= 0")
     _even_order(args.umax, "--umax")
     grid = _grid_for_label(args.d, args.h)

@@ -5,8 +5,9 @@ rational linear combination of K3 invariants indexed by (divisibility m,
 square label h); the combination is the same on the Gromov-Witten and the
 stable-pairs side.  With synthetic (caller-supplied) coefficient matrices the
 correspondence is plain exact linear algebra: combine is the matrix-vector
-product, and when the matrix is invertible over the rationals the K3 data can
-be recovered and the MNOP identity transferred label by label.
+product (one ``linear_combination`` of the value type per row), and when the
+matrix is invertible over the rationals the K3 data can be recovered and the
+MNOP identity transferred label by label.
 
 Real Noether-Lefschetz intersection numbers are out of scope here; matrices
 are demonstration data with the right shape.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bps import gw_grade_series
 from .kkv import KkvBpsGrid
@@ -28,7 +29,6 @@ from .pairs import (
     multiple_cover,
     substitute_q_minus_exp,
 )
-from .rational import RationalFunction
 from .scalars import as_fraction
 from .series import LaurentSeries
 
@@ -140,9 +140,6 @@ class NlMatrix:
     def is_square(self) -> bool:
         return len(self.rows) == len(self.cols)
 
-    def entry(self, row, col: ClassLabel) -> Fraction:
-        return self.data[self.rows.index(row)][self.cols.index(col)]
-
     def _inverse_or_rank(self) -> tuple[tuple[Fraction, ...], ...] | int:
         """The inverse rows, or the rank if singular; eliminated once per matrix."""
         if self._inverse is None:
@@ -213,29 +210,15 @@ class InvariantVector:
         return f"InvariantVector({list(self.labels)!r})"
 
 
-def _weighted_sum(weights: Iterable[tuple[Fraction, object]], example):
-    if isinstance(example, RationalFunction):
-        return RationalFunction.linear_combination(weights)
-    total = None
-    for weight, value in weights:
-        if not weight:
-            continue
-        term = value * weight
-        total = term if total is None else total + term
-    if total is None:
-        return example * Fraction(0)
-    return total
-
-
 def combine(k3: InvariantVector, nl: NlMatrix) -> InvariantVector:
     """Fibre-class invariants as the NL-weighted sums of K3 invariants."""
     if set(k3.labels) != set(nl.cols):
         raise ValueError("vector labels do not match the matrix columns")
-    example = k3.value(nl.cols[0])
+    kind = type(k3.value(nl.cols[0]))
     out = {}
     for i, row in enumerate(nl.rows):
-        out[row] = _weighted_sum(
-            ((nl.data[i][j], k3.value(col)) for j, col in enumerate(nl.cols)), example
+        out[row] = kind.linear_combination(
+            (nl.data[i][j], k3.value(col)) for j, col in enumerate(nl.cols)
         )
     return InvariantVector(out)
 
@@ -246,11 +229,11 @@ def invert_correspondence(fib: InvariantVector, nl: NlMatrix) -> InvariantVector
     if set(fib.labels) != set(nl.rows):
         raise ValueError("vector labels do not match the matrix rows")
     inverse = nl.inverse_data()
-    example = fib.value(nl.rows[0])
+    kind = type(fib.value(nl.rows[0]))
     out = {}
     for j, col in enumerate(nl.cols):
-        out[col] = _weighted_sum(
-            ((inverse[j][i], fib.value(row)) for i, row in enumerate(nl.rows)), example
+        out[col] = kind.linear_combination(
+            (inverse[j][i], fib.value(row)) for i, row in enumerate(nl.rows)
         )
     return InvariantVector(out)
 

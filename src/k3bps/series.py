@@ -6,14 +6,14 @@ not zero: every arithmetic operation propagates the truncation pessimistically
 and asking for a coefficient beyond it raises, so precision loss is never
 silent.  Coefficients below ``min_degree`` are exactly zero.
 
-Coefficients are :class:`fractions.Fraction` (ints are coerced); no
-floating point is allowed anywhere.
+Coefficients are :class:`fractions.Fraction` (ints are coerced), never floats.
+Sums and scalar multiples all go through :meth:`LaurentSeries.linear_combination`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 #: Admissible formal variable tags.  u carries genus expansions, q carries
 #: box-counting/Euler-characteristic expansions, t is free for generic use.
@@ -145,51 +145,64 @@ class LaurentSeries:
             self.truncation_order + degrees,
         )
 
-    def map_coefficients(self, fn: Callable) -> "LaurentSeries":
-        return LaurentSeries(
-            self.variable, self.min_degree, [fn(c) for c in self.coefficients], self.truncation_order
-        )
+    def rescaled(self, k) -> "LaurentSeries":
+        """Substitute x -> k*x: the coefficient c_n becomes c_n * k**n, in the same window."""
+        k = _coerce_scalar(k)
+        coeffs = [c * k**n if c else c for n, c in self.items()]
+        return LaurentSeries(self.variable, self.min_degree, coeffs, self.truncation_order)
 
     # -- ring operations ------------------------------------------------------
 
     def __neg__(self) -> "LaurentSeries":
-        return self.map_coefficients(lambda c: -c)
+        return LaurentSeries.linear_combination(((-1, self),))
 
-    def __add__(self, other):
+    @classmethod
+    def linear_combination(cls, terms: Iterable[tuple]) -> "LaurentSeries":
+        """The sum of weight * series over (weight, series) pairs, in one pass.
+
+        Weights are int or Fraction.  A term of weight zero is dropped, as zero
+        times a truncated series is exactly zero; the others fix the truncation
+        at the lowest among them.  If every weight is zero, the result is the
+        zero series at the lowest truncation among all terms.
+        """
+        terms = [(_coerce_scalar(w), series) for w, series in terms]
+        if not terms:
+            raise ValueError("a linear combination of series needs at least one term")
+        first = terms[0][1]
+        for _, series in terms[1:]:
+            first._check_same_variable(series)
+        parts = [(w, series) for w, series in terms if w] or terms
+        order = min(series.truncation_order for _, series in parts)
+        lo = min(min(series.min_degree for _, series in parts), order)
+        out = [Fraction(0)] * (order - lo + 1)
+        for weight, series in parts:
+            base = series.min_degree - lo
+            for k, c in enumerate(series.coefficients[: max(order - lo - base + 1, 0)]):
+                if c:
+                    out[base + k] += weight * c
+        return cls(first.variable, lo, out, order)
+
+    def _plus(self, other, weight: int):
         if isinstance(other, (int, Fraction)):
             other = LaurentSeries.monomial(self.variable, 0, other, self.truncation_order)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        self._check_same_variable(other)
-        order = min(self.truncation_order, other.truncation_order)
-        lo = min(self.min_degree, other.min_degree)
-        if lo > order:
-            return LaurentSeries.zero(self.variable, order)
-        width = order - lo + 1
-        out = [Fraction(0)] * width
-        for deg, c in self.items():
-            if lo <= deg <= order:
-                out[deg - lo] = out[deg - lo] + c
-        for deg, c in other.items():
-            if lo <= deg <= order:
-                out[deg - lo] = out[deg - lo] + c
-        return LaurentSeries(self.variable, lo, out, order)
+        return LaurentSeries.linear_combination(((1, self), (weight, other)))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentSeries.monomial(self.variable, 0, other, self.truncation_order)
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.map_coefficients(lambda c: c * other)
+            return LaurentSeries.linear_combination(((other, self),))
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         self._check_same_variable(other)
@@ -214,10 +227,7 @@ class LaurentSeries:
                     out[base + j] = out[base + j] + a * b
         return LaurentSeries(self.variable, lo, out, order)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.map_coefficients(lambda c: other * c)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse to the propagated truncation order.
@@ -246,7 +256,7 @@ class LaurentSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.map_coefficients(lambda c: c / other)
+            return self * (1 / Fraction(other))
         if isinstance(other, LaurentSeries):
             return self * other.inverse()
         return NotImplemented

@@ -14,6 +14,8 @@ from k3bps import (
     gw_grade_series,
     sine_bracket,
 )
+from k3bps.kkv import bps_grid_from_kkv
+from k3bps.pairs import bps_table_from_grid, grid_column
 from k3bps.series import LaurentSeries
 
 
@@ -55,13 +57,16 @@ def test_sine_bracket_genus_zero_against_inverted_square_oracle():
 
 
 def test_sine_bracket_scaling_oracle():
-    # the d = 2 series is the d = 1 series with u -> 2u
+    # the d = 2 series is (2*sin(u))^-2 from the Taylor series of sine, and
+    # it is the d = 1 series with u -> 2u
     order = 8
+    oracle = (two_sine_half(2, order + 6) ** 2).inverse().truncate(order)
     base = sine_bracket(1, 0, order)
     scaled = sine_bracket(2, 0, order)
+    assert scaled == oracle
     assert scaled.coefficient(-2) == Fraction(1, 4)
     for degree in range(-2, order + 1):
-        assert scaled.coefficient(degree) == base.coefficient(degree) * Fraction(2) ** degree
+        assert oracle.coefficient(degree) == base.coefficient(degree) * Fraction(2) ** degree
 
 
 def test_sine_bracket_higher_genus_against_power_oracle():
@@ -213,3 +218,41 @@ def test_triangularity_of_the_inverse(table, g0, d0, bump):
         assert d % d0 == 0
         if d == d0:
             assert g >= g0
+
+
+def per_divisor_grade_series(table: BpsTable, d: int, order: int) -> LaurentSeries:
+    """Oracle: sum over k | d and genus g of (n_(g,d/k)/k) (2*sin(k*u/2))^(2g-2),
+    each bracket a power of the Taylor series of sine."""
+    total = LaurentSeries.zero("u", order)
+    for k in divisors(d):
+        for (g, grade), n in table.entries.items():
+            if grade != d // k or 2 * g - 2 > order:
+                continue
+            if g == 0:
+                bracket = (two_sine_half(k, order + 6) ** 2).inverse().truncate(order)
+            else:
+                bracket = (two_sine_half(k, order + 4) ** (2 * g - 2)).truncate(order)
+            total = total + bracket * (Fraction(1, k) * n)
+    return total
+
+
+@pytest.mark.parametrize("h", [0, 1, 2])
+@pytest.mark.parametrize("order", [8, 11])
+def test_grade_series_matches_per_divisor_brackets_on_kkv_tables(h, order):
+    grid = bps_grid_from_kkv(grid_column(6, h))
+    for d in range(1, 7):
+        table = bps_table_from_grid(grid, d, h)
+        assert gw_grade_series(table, d, order) == per_divisor_grade_series(table, d, order), d
+
+
+grade_six_tables = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(1, 6)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    max_size=10,
+).map(BpsTable)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grade_six_tables, st.integers(1, 6), st.sampled_from([8, 11]))
+def test_grade_series_matches_per_divisor_brackets_on_random_tables(table, d, order):
+    assert gw_grade_series(table, d, order) == per_divisor_grade_series(table, d, order)

@@ -175,6 +175,43 @@ def test_grid_column_above_limit_is_refused_up_front(capsys, monkeypatch, argv, 
     assert err == f"error: {message}; the limit is 200\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gw", "--dmax", "201", "--h", "1", "--umax", "402"], "--dmax"),
+        (["gw", "--dmax", "201", "--single-state"], "--dmax"),
+        (["gw", "--dmax", "0"], "--dmax"),
+        (["pairs", "--d", "5040", "--h", "1"], "--d"),
+        (["pairs", "--d", "201", "--h", "0"], "--d"),
+        (["mnop-check", "--d", "201", "--h", "1"], "--d"),
+        (["mnop-check", "--d", "0"], "--d"),
+    ],
+)
+def test_divisibility_above_limit_is_refused_up_front(capsys, monkeypatch, argv, flag):
+    # h <= 1 and --single-state keep the grid column at 0 or 1, so only the
+    # divisibility bound stops these before the multiple covers run
+    monkeypatch.setattr("k3bps.cli.bps_grid_from_kkv", _no_grid)
+    monkeypatch.setattr("k3bps.cli.gw_from_bps", _no_grid)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be an integer from 1 to 200, the divisibility bound\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gw", "--dmax", "200", "--h", "1"],
+        ["pairs", "--d", "200", "--h", "1"],
+        ["mnop-check", "--d", "200", "--h", "1"],
+    ],
+)
+def test_divisibility_at_limit_is_allowed(monkeypatch, argv):
+    monkeypatch.setattr("k3bps.cli.bps_grid_from_kkv", _no_grid)
+    with pytest.raises(AssertionError, match="to column 1$"):
+        main(argv)
+
+
 def test_grid_column_at_limit_is_allowed(monkeypatch):
     monkeypatch.setattr("k3bps.cli.bps_grid_from_kkv", _no_grid)
     with pytest.raises(AssertionError, match="to column 200$"):

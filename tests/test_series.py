@@ -167,3 +167,62 @@ def test_exp_log_roundtrip(a):
 @given(q_series())
 def test_scalar_distributes(a):
     assert (a * Fraction(3, 7) + a * Fraction(4, 7)).agrees_with(a)
+
+
+@st.composite
+def u_series(draw):
+    """Series with mixed min_degrees and truncation orders."""
+    lo = draw(st.integers(-3, 3))
+    order = draw(st.integers(lo, lo + 8))
+    coeffs = draw(st.lists(rationals, min_size=1, max_size=order - lo + 1))
+    return LaurentSeries("u", lo, coeffs, order)
+
+
+weights = st.one_of(st.just(0), st.integers(-3, 3), rationals)
+
+
+def _coefficientwise(terms):
+    """The truncation of the sum and its coefficients by degree, read one at a time."""
+    kept = [(w, s) for w, s in terms if w] or terms
+    order = min(s.truncation_order for _, s in kept)
+    lo = min(s.min_degree for _, s in kept)
+    return order, {n: sum(w * s.coefficient(n) for w, s in kept) for n in range(lo, order + 1)}
+
+
+@given(st.lists(st.tuples(weights, u_series()), min_size=1, max_size=5))
+def test_linear_combination_matches_repeated_add_and_scale(terms):
+    total = LaurentSeries.linear_combination(terms)
+    kept = [(w, s) for w, s in terms if w]
+    if kept:
+        fold = kept[0][1] * kept[0][0]
+        for w, s in kept[1:]:
+            fold = fold + s * w
+        assert total == fold
+    order, coeffs = _coefficientwise(terms)
+    assert total.truncation_order == order
+    assert all(total.coefficient(n) == c for n, c in coeffs.items())
+
+
+@given(st.lists(u_series(), min_size=1, max_size=4))
+def test_linear_combination_with_all_weights_zero_is_zero(series):
+    total = LaurentSeries.linear_combination([(0, s) for s in series])
+    assert total == LaurentSeries.zero("u", min(s.truncation_order for s in series))
+
+
+def test_linear_combination_rejects_mixed_variables_and_no_terms():
+    with pytest.raises(ValueError, match="variable mismatch"):
+        LaurentSeries.linear_combination([(1, geometric(3)), (1, LaurentSeries.one("u", 3))])
+    with pytest.raises(ValueError, match="at least one term"):
+        LaurentSeries.linear_combination([])
+
+
+nonzero_scales = st.one_of(st.integers(-4, 4), rationals).filter(bool)
+
+
+@given(u_series(), nonzero_scales, nonzero_scales)
+def test_rescaled_composes_and_scales_each_coefficient(a, j, k):
+    assert a.rescaled(j).rescaled(k) == a.rescaled(j * k)
+    b = a.rescaled(k)
+    assert (b.min_degree, b.truncation_order) == (a.min_degree, a.truncation_order)
+    for n in range(a.min_degree, a.truncation_order + 1):
+        assert b.coefficient(n) == a.coefficient(n) * Fraction(k) ** n
