@@ -4,8 +4,8 @@ Subcommands: table, yau-zaslow, gw, pairs, mnop-check, nl-demo, check.
 Output formats: json (exact strings, schema in the README), csv (table,
 yau-zaslow, gw, pairs only), pretty.
 Exit codes: 0 success, 1 identity/assertion failure, 2 usage error.
-A request whose KKV grid column or divisibility (gw --dmax, pairs and
-mnop-check --d) exceeds MAX_GRID_COLUMN, or whose --umax exceeds MAX_U_ORDER,
+A request whose KKV grid column or divisibility (gw and check --dmax, pairs
+and mnop-check --d) exceeds MAX_GRID_COLUMN, or whose --umax exceeds MAX_U_ORDER,
 is refused with exit 2 before any grid is built.
 The KKV_LOG environment variable (debug/info/warning) controls verbosity.
 """
@@ -52,8 +52,9 @@ EXIT_USAGE = 2
 # Highest KKV grid column and highest divisibility a command may ask for, and
 # highest --umax (the u-order `gw` reaches at column 200).  The grid costs
 # 0.21 s at column 200; the binding costs are elsewhere (2-core Intel Xeon,
-# CPython 3.11): `gw --h 1 --dmax 200 --umax 402` 15 s, `mnop-check --d 14
-# --h 2 --umax 402` 16 s, `check --umax 402` 14 s, `pairs --d 200 --h 1` 2 s.
+# CPython 3.11): `check --dmax 200 --hmax 1` 46 s, `check --umax 402` 21 s,
+# `gw --h 1 --dmax 200 --umax 402` 12 s, `mnop-check --d 14 --h 2 --umax
+# 402` 6 s, `pairs --d 200 --h 1` 2 s.
 MAX_GRID_COLUMN = 200
 MAX_U_ORDER = 2 * MAX_GRID_COLUMN + 2
 
@@ -324,7 +325,7 @@ def cmd_nl_demo(args) -> int:
 def cmd_check(args) -> int:
     _no_csv(args)
     _even_order(args.umax, "--umax")
-    _require(args.dmax >= 1, "--dmax must be >= 1")
+    _divisibility(args.dmax, "--dmax")
     _require(args.hmax >= 0, "--hmax must be >= 0")
     _require(args.cases >= 1, "--cases must be >= 1")
     if args.quick:

@@ -133,18 +133,15 @@ class NlMatrix:
                 [Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)
             ]
             candidate = cls(rows, cols, data)
-            if not isinstance(candidate._inverse_or_rank(), int):
-                return candidate
+            try:
+                candidate.inverse_data()
+            except SingularMatrixError:
+                continue
+            return candidate
 
     @property
     def is_square(self) -> bool:
         return len(self.rows) == len(self.cols)
-
-    def _inverse_or_rank(self) -> tuple[tuple[Fraction, ...], ...] | int:
-        """The inverse rows, or the rank if singular; eliminated once per matrix."""
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse", self._eliminate())
-        return self._inverse
 
     def _eliminate(self) -> tuple[tuple[Fraction, ...], ...] | int:
         if not self.is_square:
@@ -169,11 +166,16 @@ class NlMatrix:
         return tuple(tuple(row[n:]) for row in work)
 
     def inverse_data(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact inverse by Gaussian elimination; raises with the rank if singular."""
-        result = self._inverse_or_rank()
-        if isinstance(result, int):
-            raise SingularMatrixError(result, len(self.rows))
-        return result
+        """Exact inverse by Gaussian elimination; raises with the rank if singular.
+
+        The matrix is eliminated once; later calls reuse the inverse rows, or
+        the rank, which is raised as a fresh error every time.
+        """
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", self._eliminate())
+        if isinstance(self._inverse, int):
+            raise SingularMatrixError(self._inverse, len(self.rows))
+        return self._inverse
 
     def __repr__(self) -> str:
         return f"NlMatrix({len(self.rows)}x{len(self.cols)})"

@@ -11,7 +11,10 @@ term-by-term under q = -exp(i*u), via the identity
 invariant under q <-> 1/q.
 
 Over the denominator q^max(h-1, 0) * (1+q)^2 its numerator has the integer
-coefficients sum_g n_{g,h} * C(2g, j); no gcd is needed to reduce it.
+coefficients sum_g n_{g,h} * C(2g, j).  Like every pairs function below, it
+reaches canonical form through the generic reduction of RationalFunction,
+whose gcd splits off each operand's own power of q, so only the factor
+(1+q)^2 enters the remainder sequence.
 
 Imprimitive classes d*beta are assembled purely from primitive data keyed by
 the square, never by the divisibility, through the multiple cover formula
@@ -42,7 +45,6 @@ from .rational import (
     RationalFunction,
     _proot_multiplicity,
     _pval,
-    _synthetic_divide,
     check_q_inversion_symmetry,
 )
 from .series import LaurentSeries
@@ -87,7 +89,9 @@ def grid_column(d: int, h: int) -> int:
 def primitive_pairs_ratfn(h: int, grid: KkvBpsGrid) -> RationalFunction:
     """Connected pairs series of a primitive class with square label h.
 
-    Labels below h = 0 have square below -2 and carry nothing.
+    The integer numerator is put over q^max(h-1, 0) (1+q)^2 and reduced by
+    the generic canonical form.  Labels below h = 0 have square below -2 and
+    carry nothing.
     """
     if h < 0:
         return RationalFunction.zero()
@@ -103,30 +107,7 @@ def primitive_pairs_ratfn(h: int, grid: KkvBpsGrid) -> RationalFunction:
             low = shift + 1 - g
             for j in range(2 * g + 1):
                 numerator[low + j] += n * comb(2 * g, j)
-    denominator = (0,) * shift + (1, 2, 1)
-    return _reduced_by_q_and_one_plus_q(tuple(numerator), denominator, shift, 2)
-
-
-def _reduced_by_q_and_one_plus_q(
-    numerator: tuple, denominator: tuple, q_pow: int, one_plus_q_pow: int
-) -> RationalFunction:
-    """Canonicalize when the denominator is exactly q^a * (1+q)^b.
-
-    Those are the only irreducible factors the denominator has, so stripping
-    the shared powers of each leaves coprime polynomials.
-    """
-    if not numerator:
-        return RationalFunction.zero()
-    strip = min(_pval(numerator), q_pow)
-    if strip:
-        numerator = numerator[strip:]
-        denominator = denominator[strip:]
-    minus_one = Fraction(-1)
-    shared = min(_proot_multiplicity(numerator, minus_one), one_plus_q_pow)
-    for _ in range(shared):
-        numerator = _synthetic_divide(numerator, minus_one)
-        denominator = _synthetic_divide(denominator, minus_one)
-    return RationalFunction._from_coprime(numerator, denominator)
+    return RationalFunction(numerator, (0,) * shift + (1, 2, 1))
 
 
 class PairsLedger:

@@ -6,8 +6,11 @@ rely on.  Expansion about q = 0 returns a truncated Laurent series; the
 q <-> 1/q inversion check compares a function with its reciprocal
 substitution, built in canonical form without a gcd.
 
-Reduction (a polynomial gcd and two exact divisions) is the expensive step,
-so a sum is reduced once, not after every addition:
+Reduction (a polynomial gcd and two exact divisions) is the expensive step.
+The gcd splits off each operand's own power of q before its integer
+remainder sequence, gcd(q^a A, q^b B) = q^min(a,b) gcd(A, B) for A, B prime
+to q, so the power of q in a denominator such as q^S (1+q)^2 never enters it.
+A sum is reduced once, not after every addition:
 :meth:`RationalFunction.linear_combination` puts all its terms over one
 common denominator and canonicalizes the total, and ``+`` goes through it.
 Operations that cannot create a common factor skip the gcd altogether: for
@@ -206,10 +209,13 @@ def _int_primitive(p: tuple) -> tuple:
 def _pgcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd via a primitive pseudo-remainder sequence over the integers.
 
-    The common power of q is split off first (cheap, and the q-power is where
-    most of the degree lives for the generating functions handled here); the
-    primitive-part normalization after every pseudo-division keeps the integer
-    coefficients from the exponential blowup of naive fraction Euclid.
+    Each operand's own power of q is split off first: for A, B not divisible
+    by q, gcd(q^a A, q^b B) = q^min(a,b) gcd(A, B).  That is cheap, and the
+    q-power is where most of the degree lives for the generating functions
+    handled here, so a pairs denominator q^S (1+q)^2 enters the sequence at
+    degree 2.  The primitive-part normalization after every pseudo-division
+    keeps the integer coefficients from the exponential blowup of naive
+    fraction Euclid.
     """
     if not a:
         b = _trim(b)
@@ -217,9 +223,10 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     if not b:
         a = _trim(a)
         return _pscale(a, 1 / a[-1])
-    shift = min(_pval(a), _pval(b))
-    x = _to_primitive_int(a[shift:])
-    y = _to_primitive_int(b[shift:])
+    va, vb = _pval(a), _pval(b)
+    shift = min(va, vb)
+    x = _to_primitive_int(a[va:])
+    y = _to_primitive_int(b[vb:])
     if len(x) < len(y):
         x, y = y, x
     while y:

@@ -108,7 +108,7 @@ class LaurentSeries:
                 f"{self.truncation_order}"
             )
         if degree < self.min_degree:
-            return self.coefficients[0] * 0
+            return Fraction(0)
         return self.coefficients[degree - self.min_degree]
 
     def items(self) -> Iterable[tuple[int, object]]:
@@ -246,12 +246,11 @@ class LaurentSeries:
         a = [self.coefficient(val + k) for k in range(rel + 1)]
         b = [lead_inv] + [Fraction(0)] * rel
         for n in range(1, rel + 1):
-            acc = None
+            acc = Fraction(0)
             for k in range(1, n + 1):
                 if a[k]:
-                    term = a[k] * b[n - k]
-                    acc = term if acc is None else acc + term
-            b[n] = -lead_inv * acc if acc is not None else Fraction(0) * lead_inv
+                    acc += a[k] * b[n - k]
+            b[n] = -lead_inv * acc
         return LaurentSeries(self.variable, -val, b, order)
 
     def __truediv__(self, other):

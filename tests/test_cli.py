@@ -185,6 +185,8 @@ def test_grid_column_above_limit_is_refused_up_front(capsys, monkeypatch, argv, 
         (["pairs", "--d", "201", "--h", "0"], "--d"),
         (["mnop-check", "--d", "201", "--h", "1"], "--d"),
         (["mnop-check", "--d", "0"], "--d"),
+        (["check", "--dmax", "201", "--hmax", "1"], "--dmax"),
+        (["check", "--dmax", "0"], "--dmax"),
     ],
 )
 def test_divisibility_above_limit_is_refused_up_front(capsys, monkeypatch, argv, flag):

@@ -90,6 +90,26 @@ def test_inverse_is_computed_once_per_matrix(monkeypatch):
     assert product == [[int(i == j) for j in range(3)] for i in range(3)]
 
 
+def test_random_invertible_tests_each_draw_through_inverse_data(monkeypatch):
+    # the public entry point sees every draw, so a caller counting its
+    # raises counts the singular redraws; Random(0) redraws once at bound 1
+    outcomes = []
+    inverse_data = NlMatrix.inverse_data
+
+    def recorded(self):
+        try:
+            inverse = inverse_data(self)
+        except SingularMatrixError:
+            outcomes.append("singular")
+            raise
+        outcomes.append("inverse")
+        return inverse
+
+    monkeypatch.setattr(NlMatrix, "inverse_data", recorded)
+    NlMatrix.random_invertible(ROWS, LABELS, Random(0), bound=1)
+    assert outcomes == ["singular", "inverse"]
+
+
 def test_roundtrip_with_random_matrices():
     rng = Random(11)
     for case in range(30):

@@ -226,6 +226,16 @@ def test_mnop_check_high_genus_primitive():
     assert report.equal, report.first_mismatch
 
 
+def test_mnop_check_large_divisibility():
+    # grid columns 129 and 145; each multiple cover sum reduces operands that
+    # carry different powers of q
+    grid = bps_grid_from_kkv(145)
+    ledger = PairsLedger(grid)
+    for d, h, u_order in ((8, 3, 30), (12, 2, 24)):
+        report = mnop_check(HodgeLabel(d, h), grid, u_order, ledger)
+        assert report.equal, report.first_mismatch
+
+
 def test_mnop_report_truthiness(grid20, ledger20):
     report = mnop_check(HodgeLabel(2, 1), grid20, 10, ledger20)
     assert bool(report)

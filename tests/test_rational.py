@@ -229,6 +229,12 @@ def test_pow_matches_reduced_product(a, e):
 
 @settings(deadline=None)  # the first example pays for importing sympy
 @given(coeffs, nonzero_polys)
+# operands with different powers of q that share a factor other than q,
+# e.g. q^3 (1+q)(2+q) / (q (1+q)^2) = q^2 (2+q)/(1+q); then with the larger
+# power below, q (1+q)^2 (2-q) / (q^4 (1+q)), and a non-monic denominator
+@example([0, 0, 0, 2, 3, 1], [0, 1, 2, 1])
+@example([0, 2, 3, 0, -1], [0, 0, 0, 0, 1, 1])
+@example([0, 0, 1, 2, 1], [0, 0, 0, 0, 0, 3, 3])
 def test_canonical_form_matches_sympy_cancel(num, den):
     sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")
