@@ -7,17 +7,21 @@ genus-graded Gromov-Witten series at grade D sums primitive series at rescaled u
     sum_{g} N_{g,D} u^(2g-2) = sum_{k | D} (1/k) * F_{D/k}(k*u),
     F_e(u) = sum_{g} n_{g,e} * (2*sin(u/2))^(2g-2),
 
-so only the d = 1 sine brackets are expanded.  The relation is upper triangular
-with unit diagonal (grade-by-grade over divisors, genus-by-genus within a
-grade), so it inverts exactly; the inverse need not produce integers for
-arbitrary rational input, and integrality is reported rather than assumed.
+so only the d = 1 sine brackets are expanded.  They are integers over
+factorials: (2*sin(u/2))^(2m) from the central factorial numbers T(2n, 2m),
+and (2*sin(u/2))^-2 from the Bernoulli numbers, both tables grown once and
+shared by every u-order.  A grade is then one integer sum per coefficient
+over (2n)! * D, and one Fraction.  The relation is upper triangular with unit
+diagonal (grade-by-grade over divisors, genus-by-genus within a grade), so it
+inverts exactly; the inverse need not produce integers for arbitrary rational
+input, and integrality is reported rather than assumed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping
 
 from .scalars import as_fraction
@@ -39,18 +43,52 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+# Growing caches shared by every u-order: rows n of the central factorial
+# triangle T(2n, 2j), j = 0..n, and |B_2n| with the last Seidel-Entringer row
+# they are read from.
+_central_rows: list[list[int]] = [[1]]
+_bernoulli: list[Fraction] = [Fraction(1)]
+_seidel_row: list[int] = [1]
+
+
+def central_factorial_row(n: int) -> list[int]:
+    """The integers T(2n, 2j), j = 0..n: T(0,0) = 1 and
+    T(2n,2j) = T(2n-2,2j-2) + j^2 T(2n-2,2j)."""
+    while len(_central_rows) <= n:
+        prev = _central_rows[-1] + [0]
+        _central_rows.append([0] + [prev[j - 1] + j * j * prev[j] for j in range(1, len(prev))])
+    return _central_rows[n]
+
+
+def bernoulli_abs(n: int) -> Fraction:
+    """|B_2n| = 2n A_(2n-1) / (4^n (4^n - 1)) for n >= 1, from the zigzag numbers
+    A_r, the last entries of the Seidel-Entringer rows E(r,k) = E(r,k-1) + E(r-1,r-k)."""
+    global _seidel_row
+    while len(_bernoulli) <= n:
+        k = len(_bernoulli)
+        while len(_seidel_row) < 2 * k:
+            row = [0]
+            for i in range(len(_seidel_row), 0, -1):
+                row.append(row[-1] + _seidel_row[i - 1])
+            _seidel_row = row
+        _bernoulli.append(Fraction(2 * k * _seidel_row[-1], 4**k * (4**k - 1)))
+    return _bernoulli[n]
+
+
 @lru_cache(maxsize=None)
 def sine_bracket(d: int, g: int, order: int) -> LaurentSeries:
     """Laurent series of ``(2*sin(d*u/2))**(2g-2)`` in u: even, led by (d*u)^(2g-2).
 
-    The d = 1 series is rescaled by u -> d*u.  With m = g-1 >= 1,
+    The d = 1 series is rescaled by u -> d*u.  With m = g-1 >= 0,
 
         (2*sin(u/2))**(2m) = (2m)! * sum_{n>=m} (-1)^(n-m) T(2n,2m) u^(2n)/(2n)!
 
-    in the central factorial numbers, the integers with T(0,0) = 1 and
-    T(2n,2j) = T(2n-2,2j-2) + j^2 T(2n-2,2j).  Rows are carried only up to
-    column m: O(order * g) integer operations.  g = 0 inverts the m = 1
-    series taken to order + 4, as the inverse loses four orders; g = 1 is 1.
+    in the integer central factorial numbers T, and g = 0 is
+
+        (2*sin(u/2))**-2 = u^-2 + sum_{n>=1} (2n-1) |B_2n| u^(2n-2)/(2n)!
+
+    in the Bernoulli numbers: the one-state primitive series F_1 of the grade
+    sums, so no series is inverted.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -60,21 +98,7 @@ def sine_bracket(d: int, g: int, order: int) -> LaurentSeries:
         raise ValueError(f"truncation order {order} cannot hold the leading term u^{2 * g - 2}")
     if d > 1:
         return sine_bracket(1, g, order).rescaled(d)
-    if g == 1:
-        return LaurentSeries.one("u", order)
-    m, top = (1, order + 4) if g == 0 else (g - 1, order)
-    row = [1] + [0] * m  # T(2n, 2j) for j = 0..m, starting at n = 0
-    coeffs = [0] * (top - 2 * m + 1)  # degrees 2m..top
-    scale, denominator = factorial(2 * m), 1  # (2m)! and (2n)!
-    for n in range(1, top // 2 + 1):
-        for j in range(min(n, m), 0, -1):
-            row[j] = row[j - 1] + j * j * row[j]
-        row[0] = 0
-        denominator *= (2 * n - 1) * 2 * n
-        if n >= m:
-            coeffs[2 * (n - m)] = Fraction((-1) ** (n - m) * scale * row[m], denominator)
-    power = LaurentSeries("u", 2 * m, coeffs, top)
-    return power.inverse() if g == 0 else power
+    return _grade_series({1: _primitive_numerators({g: 1}, order)}, 1, [1], order)
 
 
 # bound once, so the counts stay readable when the name ``sine_bracket`` is
@@ -191,27 +215,78 @@ class GwPotential:
         return f"GwPotential({self.entries!r}, u_truncation={self.u_truncation})"
 
 
-def _covers(entries: Mapping, d: int, ks: list[int], u_order: int) -> list:
-    """The terms (1/k, F_{d/k}(k*u)) of grade d for k in ks, F_e built from the
-    d = 1 brackets only.  A zero F_e is left out, as is an entry whose leading
-    degree 2g-2 exceeds the truncation: it contributes nothing below it."""
-    covers = []
-    for k in ks:
-        primitive = [
-            (value, sine_bracket(1, g, u_order))
-            for (g, e), value in entries.items()
-            if e * k == d and 2 * g - 2 <= u_order
-        ]
-        if primitive:
-            covers.append((Fraction(1, k), LaurentSeries.linear_combination(primitive).rescaled(k)))
-    return covers
+def _primitive_numerators(values: Mapping[int, object], u_order: int):
+    """F_e(u) = sum_g n_g (2*sin(u/2))^(2g-2) for one grade e, in integers.
+
+    ``values`` maps genus g to n_(g,e); a genus whose leading degree 2g-2
+    exceeds the truncation is left out.  Returns (scale, lead, numerators),
+    or None when nothing is left: scale is the lcm of the values'
+    denominators, and F_e = lead/scale u^-2 + sum_n numerators[n] /
+    (scale * D_n) u^(2n), D_n = (2n+2)! * den |B_(2n+2)|.
+    """
+    top = u_order // 2
+    kept = {g: v for g, v in values.items() if v and 2 * g - 2 <= u_order}
+    if not kept:
+        return None
+    scale = lcm(*(v.denominator for v in kept.values() if not isinstance(v, int)))
+    kept = {g: int(v * scale) for g, v in kept.items()}
+    lead = kept.get(0, 0)
+    # n_g (-1)^m (2m)! with m = g - 1, the genus-g factor of T(2n,2m)
+    weights = [(g - 1, n * (-1) ** (g - 1) * factorial(2 * g - 2)) for g, n in kept.items() if g]
+    numerators = []
+    for n in range(top + 1):
+        row = central_factorial_row(n)
+        inner = sum(w * row[m] for m, w in weights if m <= n)
+        bernoulli = bernoulli_abs(n + 1)
+        numerators.append(
+            (-1) ** n * inner * (2 * n + 1) * (2 * n + 2) * bernoulli.denominator
+            + lead * (2 * n + 1) * bernoulli.numerator
+        )
+    return scale, lead, numerators
+
+
+def _grade_series(primitives: Mapping[int, tuple], d: int, ks: list[int], u_order: int):
+    """sum_(k in ks) (1/k) F_(d/k)(k*u), with F_e read from ``primitives`` (grade e
+    to the output of :func:`_primitive_numerators`).
+
+    F_e(k*u)/k has u^(2n) coefficient numerators[n] k^(2n-1) / (scale * D_n);
+    over the common denominator D_n * d * L, with L the lcm of the scales,
+    every term is the integer numerators[n] * (L/scale) * k^(2n) * (d/k), so
+    each coefficient is one integer sum and one Fraction.  The u^-2 terms
+    lead/scale k^-3 sit over d^3 * L alike.
+    """
+    terms = [(k, primitives[d // k]) for k in ks if primitives.get(d // k)]
+    if not terms or u_order < -2:
+        return LaurentSeries.zero("u", u_order)
+    common = lcm(*(scale for _, (scale, _, _) in terms))
+    terms = [(k, (d // k) * common // scale, lead, nums) for k, (scale, lead, nums) in terms]
+    coeffs = [Fraction(0)] * (u_order + 3)
+    coeffs[0] = Fraction(sum(lead * w * (d // k) ** 2 for k, w, lead, _ in terms), d**3 * common)
+    powers = [1] * len(terms)  # k^(2n)
+    factorial_part = 2  # (2n+2)!
+    for n in range(u_order // 2 + 1):
+        if n:
+            factorial_part *= (2 * n + 1) * (2 * n + 2)
+            powers = [p * k * k for p, (k, _, _, _) in zip(powers, terms)]
+        total = sum(p * w * nums[n] for p, (_, w, _, nums) in zip(powers, terms))
+        coeffs[2 * n + 2] = Fraction(
+            total, factorial_part * bernoulli_abs(n + 1).denominator * d * common
+        )
+    return LaurentSeries("u", -2, coeffs, u_order)
+
+
+def _by_grade(entries: Mapping[tuple[int, int], object], u_order: int, grades) -> dict:
+    values: dict[int, dict[int, object]] = {}
+    for (g, e), value in entries.items():
+        if e in grades:
+            values.setdefault(e, {})[g] = value
+    return {e: _primitive_numerators(v, u_order) for e, v in values.items()}
 
 
 def gw_grade_series(table: BpsTable, d: int, u_order: int) -> LaurentSeries:
     """Forward transform at a single grade: sum_{k | d} (1/k) F_{d/k}(k*u)."""
-    total = LaurentSeries.linear_combination(
-        [(1, LaurentSeries.zero("u", u_order))] + _covers(table.entries, d, divisors(d), u_order)
-    )
+    ks = divisors(d)
+    total = _grade_series(_by_grade(table.entries, u_order, {d // k for k in ks}), d, ks, u_order)
     for deg, c in total.items():
         if deg % 2 and c:
             raise ArithmeticError(
@@ -222,14 +297,17 @@ def gw_grade_series(table: BpsTable, d: int, u_order: int) -> LaurentSeries:
 
 
 def gw_from_bps(table: BpsTable, d_max: int, u_order: int | None = None) -> GwPotential:
-    """Gromov-Witten potential generated by a BPS table, for grades <= d_max."""
+    """Gromov-Witten potential generated by a BPS table, for grades <= d_max.
+
+    Each F_e is built once and read by every grade that e divides."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     if u_order is None:
         u_order = 2 * max(table.max_genus(), 0) + 2
+    primitives = _by_grade(table.entries, u_order, range(1, d_max + 1))
     entries: dict[tuple[int, int], Fraction] = {}
     for d in range(1, d_max + 1):
-        for degree, value in gw_grade_series(table, d, u_order).items():
+        for degree, value in _grade_series(primitives, d, divisors(d), u_order).items():
             if value:
                 entries[(degree + 2) // 2, d] = value
     return GwPotential(entries, u_order)
@@ -249,14 +327,15 @@ def bps_from_gw(potential: GwPotential, d_max: int) -> BpsTable:
         raise ValueError("u-truncation below u^-2 cannot hold any genus-0 data")
     top_genus = (u_order + 2) // 2
     entries: dict[tuple[int, int], object] = {}
+    primitives: dict[int, tuple | None] = {}
     for d in range(1, d_max + 1):
-        covered = _covers(entries, d, divisors(d)[1:], u_order)
-        residual = LaurentSeries.linear_combination(
-            [(1, potential.grade_series(d))] + [(-w, f) for w, f in covered]
-        )
+        covered = _grade_series(primitives, d, divisors(d)[1:], u_order)
+        residual = potential.grade_series(d) - covered
+        solved = {}
         for g in range(0, top_genus + 1):
             c = residual.coefficient(2 * g - 2)
             if c:
-                entries[(g, d)] = c
+                solved[g] = entries[(g, d)] = c
                 residual = residual - sine_bracket(1, g, u_order) * c
+        primitives[d] = _primitive_numerators(solved, u_order)
     return BpsTable(entries, square_labels=None)

@@ -5,8 +5,9 @@ Output formats: json (exact strings, schema in the README), csv (table,
 yau-zaslow, gw, pairs only), pretty.
 Exit codes: 0 success, 1 identity/assertion failure, 2 usage error.
 A request whose KKV grid column or divisibility (gw and check --dmax, pairs
-and mnop-check --d) exceeds MAX_GRID_COLUMN, or whose --umax exceeds MAX_U_ORDER,
-is refused with exit 2 before any grid is built.
+and mnop-check --d) exceeds MAX_GRID_COLUMN, whose nl-demo --mmax exceeds
+MAX_NL_DIVISIBILITY, or whose --umax exceeds MAX_U_ORDER, is refused with
+exit 2 before any grid is built.
 The KKV_LOG environment variable (debug/info/warning) controls verbosity.
 """
 
@@ -52,11 +53,16 @@ EXIT_USAGE = 2
 # Highest KKV grid column and highest divisibility a command may ask for, and
 # highest --umax (the u-order `gw` reaches at column 200).  The grid costs
 # 0.21 s at column 200; the binding costs are elsewhere (2-core Intel Xeon,
-# CPython 3.11): `check --dmax 200 --hmax 1` 46 s, `check --umax 402` 21 s,
-# `gw --h 1 --dmax 200 --umax 402` 12 s, `mnop-check --d 14 --h 2 --umax
-# 402` 6 s, `pairs --d 200 --h 1` 2 s.
+# CPython 3.11): `check --dmax 200 --hmax 1` 41 s, `check --umax 402` 4.2 s,
+# `gw --h 1 --dmax 200 --umax 402` 3.7 s, `mnop-check --d 14 --h 2 --umax
+# 402` 1.5 s, `pairs --d 200 --h 1` 1.8 s.
 MAX_GRID_COLUMN = 200
 MAX_U_ORDER = 2 * MAX_GRID_COLUMN + 2
+# Highest nl-demo --mmax.  At --hmax <= 1 no grid column bounds it, while the
+# NL matrix spans every m <= --mmax and its rational pairs sums grow with it:
+# `nl-demo --mmax 20 --hmax 1` takes 60 s on the same host, nearly all in
+# RationalFunction.linear_combination.
+MAX_NL_DIVISIBILITY = 20
 
 
 class UsageError(Exception):
@@ -75,10 +81,10 @@ def _even_order(value: int, flag: str) -> None:
     )
 
 
-def _divisibility(value: int, flag: str) -> None:
+def _divisibility(value: int, flag: str, limit: int = MAX_GRID_COLUMN) -> None:
     _require(
-        1 <= value <= MAX_GRID_COLUMN,
-        f"{flag} must be an integer from 1 to {MAX_GRID_COLUMN}, the divisibility bound",
+        1 <= value <= limit,
+        f"{flag} must be an integer from 1 to {limit}, the divisibility bound",
     )
 
 
@@ -244,6 +250,7 @@ def cmd_mnop_check(args) -> int:
             "d": args.d,
             "h": args.h,
             "u_order": args.umax,
+            "work_order": report.work_order,
             "equal": report.equal,
             "gw_series": series_to_jsonable(report.lhs),
             "pairs_series": series_to_jsonable(report.rhs),
@@ -278,7 +285,7 @@ def _demo_labels(m_max: int, h_max: int) -> list[ClassLabel]:
 
 def cmd_nl_demo(args) -> int:
     _no_csv(args)
-    _require(args.mmax >= 1, "--mmax must be >= 1")
+    _divisibility(args.mmax, "--mmax", MAX_NL_DIVISIBILITY)
     _require(args.hmax >= 0, "--hmax must be >= 0")
     _even_order(args.umax, "--umax")
     need = _require_column(

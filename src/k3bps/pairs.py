@@ -25,29 +25,33 @@ where gamma(k) is a primitive class with the same square as (d/k)*beta.
 Every pairs function is reached through a :class:`PairsLedger`, which
 computes it once and checks its q <-> 1/q invariance.
 
-The substitution q = -exp(i*u) needs no imaginary unit.  Centred on the
-midpoint a of the denominator's degree range, e^{-iau} p(-e^{iu}) has u^t
-coefficient i^t/t! * sum_j p_j (-1)^j (j-a)^t; invariance under q <-> 1/q
-makes every odd-t sum vanish, which is checked exactly, so only real even
-powers of u remain and the factor e^{-iau} cancels in the quotient.
+The substitution q = -exp(i*u) needs no imaginary unit and runs in
+integers.  Centred on the midpoint a of the denominator's degree range,
+e^{-iau} p(-e^{iu}) has u^t coefficient i^t/t! * sum_j p_j (-1)^j (j-a)^t;
+invariance under q <-> 1/q makes every odd-t sum vanish, which is checked
+exactly, so only real even powers of u remain and the factor e^{-iau}
+cancels in the quotient.  The two even series are divided in x = u^2 by one
+long division over integers; the pole at u = 0 is the multiplicity of the
+root q = -1, counted by integer synthetic division.  Nothing here reads the
+sine brackets of :mod:`k3bps.bps`, so :func:`mnop_check` compares two
+independent computations.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
+from time import perf_counter
 
 from .bps import BpsTable, divisors, gw_grade_series
 from .graded import GradedSeries
 from .kkv import KkvBpsGrid
-from .rational import (
-    RationalFunction,
-    _proot_multiplicity,
-    _pval,
-    check_q_inversion_symmetry,
-)
+from .rational import RationalFunction, check_q_inversion_symmetry
 from .series import LaurentSeries
+
+log = logging.getLogger("k3bps")
 
 
 @dataclass(frozen=True)
@@ -177,57 +181,147 @@ def multiple_cover(
     return ledger.imprimitive(label.d, label.h)
 
 
-def _centred_u_series(p: tuple, centre2: int, u_order: int) -> LaurentSeries:
-    """The u-series of e^{-iau} p(-e^{iu}) with 2a = ``centre2``, over Fraction.
+def _cleared(p: tuple) -> tuple[list[int], int]:
+    """The integer coefficients of m*p, with m the lcm of p's denominators."""
+    m = lcm(*(c.denominator for c in p))
+    return [c.numerator * (m // c.denominator) for c in p], m
 
-    Since p(-e^{iu}) = sum_j p_j (-1)^j e^{iju}, its u^t coefficient is i^t
-    times s_t = sum_j p_j (-1)^j (j - a)^t / t!.  Every odd s_t must vanish;
-    then i^t is the real sign (-1)^(t/2).  The sums run over integers: p is
-    cleared of denominators and (j - a) is doubled.
+
+def _minus_one_multiplicity(p: list[int]) -> int:
+    """Multiplicity of q = -1 as a root of a nonzero integer polynomial.
+
+    p(-1) is the alternating sum of the coefficients; division by the monic
+    q + 1 is synthetic, s_(i-1) = p_i - s_i from the top, and stays integral.
     """
-    denom = lcm(*(c.denominator for c in p))
+    mult = 0
+    while sum(p[0::2]) == sum(p[1::2]):
+        quotient = [0] * (len(p) - 1)
+        carry = 0
+        for i in range(len(p) - 1, 0, -1):
+            carry = p[i] - carry
+            quotient[i - 1] = carry
+        p = quotient
+        mult += 1
+    return mult
+
+
+def _centred_even_coefficients(p: list[int], centre2: int, top: int) -> list[tuple[int, int]]:
+    """The x^m coefficients (-1)^m S_2m / (4^m (2m)!), x = u^2, of e^{-iau} p(-e^{iu})
+    with 2a = ``centre2``, for 2m <= top, as reduced integer pairs (numerator,
+    positive denominator).
+
+    S_t = sum_j p_j (-1)^j (2j - centre2)^t is an integer.  Every odd S_t up
+    to ``top`` must vanish; the first that does not raises.
+    """
     offsets = [2 * j - centre2 for j, c in enumerate(p) if c]
-    terms = [int(c * denom) * (-1) ** j for j, c in enumerate(p) if c]
+    terms = [-c if j % 2 else c for j, c in enumerate(p) if c]
     coeffs = []
-    scale = denom  # denom * 2^t * t!
-    for t in range(u_order + 1):
+    scale = 1  # 2^t t!
+    for t in range(top + 1):
         if t:
+            terms = [x * o for x, o in zip(terms, offsets)]
             scale *= 2 * t
-            terms = [x * m for x, m in zip(terms, offsets)]
         total = sum(terms)
-        if t % 2 and total:
+        if t % 2 == 0:
+            g = gcd(total, scale)
+            coeffs.append((-total // g if t % 4 else total // g, scale // g))
+        elif total:
             raise ArithmeticError(
                 f"nonzero u^{t} term about q^{Fraction(centre2, 2)}: the input was not "
                 "q <-> 1/q symmetric, or an arithmetic bug occurred"
             )
-        coeffs.append(Fraction(-total if t % 4 == 2 else total, scale))
-    return LaurentSeries("u", 0, coeffs, u_order)
+    return coeffs
+
+
+def _long_division(a: list[tuple[int, int]], b: list[tuple[int, int]], count: int) -> list:
+    """The first ``count`` coefficients of a(x) / b(x) for b(0) != 0, as reduced
+    integer pairs: Q_k = (a_k - sum_(j=1..k) b_j Q_(k-j)) / b_0.
+
+    The accumulator is an integer over the lcm of its terms' denominators and
+    is reduced once per coefficient.
+    """
+    lead_num, lead_den = b[0]
+    if lead_num < 0:
+        lead_num, lead_den = -lead_num, -lead_den
+    quotient: list[tuple[int, int]] = []
+    for k in range(count):
+        num, den = a[k]
+        for j in range(1, k + 1):
+            bn, bd = b[j]
+            qn, qd = quotient[k - j]
+            if bn and qn:
+                term_den = bd * qd
+                g = gcd(den, term_den)
+                num = num * (term_den // g) - bn * qn * (den // g)
+                den = den // g * term_den
+        num, den = num * lead_den, den * lead_num
+        g = gcd(num, den)
+        quotient.append((num // g, den // g))
+    return quotient
+
+
+def _work_order(pole: int, zero: int, u_order: int) -> int:
+    # The quotient of a valuation-`zero` numerator by a valuation-`pole`
+    # denominator is valid to work - 2*pole + zero, and the valuation checks
+    # need the window to reach both valuations.
+    return max(u_order, 0) + 2 * pole + zero + 2
+
+
+def substitution_work_order(r: RationalFunction, u_order: int) -> int:
+    """The u-order to which :func:`substitute_q_minus_exp` expands the numerator
+    and the denominator of r for a result through u^``u_order``."""
+    if r.is_zero:
+        raise ValueError("the zero function has an identically vanishing numerator")
+    pole = _minus_one_multiplicity(_cleared(r.denominator)[0])
+    zero = _minus_one_multiplicity(_cleared(r.numerator)[0])
+    return _work_order(pole, zero, u_order)
 
 
 def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     """Formal substitution q = -exp(i*u) into a rational function of q.
 
-    Numerator and denominator are both centred on a = (lowest + highest
-    degree of the denominator) / 2, and the common factor e^{-iau} cancels in
-    the quotient.  For a q <-> 1/q symmetric r both centred series are real
-    and even in u; an odd term means r was not symmetric (or an arithmetic
-    bug) and raises.  The pole at u = 0 comes from the denominator vanishing
-    at q = -1 and is removed by exact Laurent division.
+    Numerator and denominator are cleared to integer polynomials and both
+    centred on a = (lowest + highest degree of the denominator) / 2; the
+    common factor e^{-iau} cancels in the quotient.  For a q <-> 1/q symmetric
+    r both centred series are real and even in u; an odd term means r was
+    not symmetric (or an arithmetic bug) and raises.  Being even, they are
+    divided as series in x = u^2 by one long division, every step an integer
+    over an lcm.  The result starts at u^(zero - pole), with pole and zero the
+    multiplicities of the root q = -1 of the denominator and the numerator,
+    which the valuations of the two series must match.  No Laurent series
+    arithmetic is involved, and each output coefficient is one Fraction.
     """
     if r.is_zero:
         raise ValueError("the zero function has an identically vanishing numerator")
-    pole = _proot_multiplicity(r.denominator, Fraction(-1))
-    zero = _proot_multiplicity(r.numerator, Fraction(-1))
-    # Working precision: the quotient of a valuation-`zero` numerator by a
-    # valuation-`pole` denominator is valid to work - 2*pole + zero, and the
-    # valuation checks below need the window to reach both valuations.
-    work = max(u_order, 0) + 2 * pole + zero + 2
-    centre2 = _pval(r.denominator) + len(r.denominator) - 1
-    num_series = _centred_u_series(r.numerator, centre2, work)
-    den_series = _centred_u_series(r.denominator, centre2, work)
-    if den_series.valuation() != pole or num_series.valuation() != zero:
+    start = perf_counter()
+    numerator, num_scale = _cleared(r.numerator)
+    denominator, den_scale = _cleared(r.denominator)
+    pole = _minus_one_multiplicity(denominator)
+    zero = _minus_one_multiplicity(numerator)
+    work = _work_order(pole, zero, u_order)
+    low = next(i for i, c in enumerate(denominator) if c)
+    centre2 = low + len(denominator) - 1
+    a = _centred_even_coefficients(numerator, centre2, work)
+    b = _centred_even_coefficients(denominator, centre2, work)
+    va = next((m for m, (n, _) in enumerate(a) if n), None)
+    vb = next((m for m, (n, _) in enumerate(b) if n), None)
+    if vb is None or va is None or 2 * vb != pole or 2 * va != zero:
         raise ArithmeticError("substitution series valuation disagrees with root multiplicity")
-    return (num_series * den_series.inverse()).truncate(u_order)
+    lowest = zero - pole
+    count = (u_order - lowest) // 2 + 1 if u_order >= lowest else 0
+    coeffs: list = [0] * max(u_order - lowest + 1, 0)
+    for k, (n, d) in enumerate(_long_division(a[va:], b[vb:], count)):
+        coeffs[2 * k] = Fraction(n * den_scale, d * num_scale)
+    log.debug(
+        "substitute_q_minus_exp pole=%d zero=%d work=%d in %.3f s",
+        pole,
+        zero,
+        work,
+        perf_counter() - start,
+    )
+    if not count:
+        return LaurentSeries.zero("u", u_order)
+    return LaurentSeries("u", lowest, coeffs, u_order)
 
 
 def bps_table_from_grid(grid: KkvBpsGrid, d_max: int, h: int) -> BpsTable:
@@ -261,6 +355,7 @@ class MnopReport:
     lhs: LaurentSeries
     rhs: LaurentSeries
     first_mismatch: tuple | None
+    work_order: int | None = None  # u-order of the substitution's two expansions
 
     def __bool__(self) -> bool:
         return self.equal
@@ -280,9 +375,12 @@ def mnop_check(
     """
     table = bps_table_from_grid(grid, label.d, label.h)
     lhs = gw_grade_series(table, label.d, u_order)
-    rhs = substitute_q_minus_exp(multiple_cover(label, grid, ledger), u_order)
+    fn = multiple_cover(label, grid, ledger)
+    rhs = substitute_q_minus_exp(fn, u_order)
     mismatch = lhs.first_difference(rhs, u_order)
-    return MnopReport(label, mismatch is None, lhs, rhs, mismatch)
+    return MnopReport(
+        label, mismatch is None, lhs, rhs, mismatch, substitution_work_order(fn, u_order)
+    )
 
 
 def disconnected_partition(

@@ -135,25 +135,6 @@ def _peval(p: Poly, x):
     return acc
 
 
-def _synthetic_divide(p: Poly, root: Fraction) -> Poly:
-    """Quotient of p by (q - root), dropping the remainder."""
-    out = [Fraction(0)] * (len(p) - 1)
-    carry = Fraction(0)
-    for i in range(len(p) - 1, 0, -1):
-        carry = p[i] + carry * root
-        out[i - 1] = carry
-    return tuple(out)
-
-
-def _proot_multiplicity(p: Poly, root: Fraction) -> int:
-    """Multiplicity of ``root`` as a zero of p (0 if not a root)."""
-    mult = 0
-    while p and _peval(p, root) == 0:
-        p = _trim(_synthetic_divide(p, root))
-        mult += 1
-    return mult
-
-
 def _pcompose_scaled_power(p: Poly, scale: Fraction, power: int) -> Poly:
     """p(scale * q**power) for an integer power >= 1."""
     if power < 1:

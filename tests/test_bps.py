@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from k3bps import (
     gw_grade_series,
     sine_bracket,
 )
+from k3bps.bps import bernoulli_abs, central_factorial_row
 from k3bps.kkv import bps_grid_from_kkv
 from k3bps.pairs import bps_table_from_grid, grid_column
 from k3bps.series import LaurentSeries
@@ -98,6 +100,32 @@ def test_sine_bracket_matches_sympy_series(d, g):
     for k in range(-2, order + 1):
         c = ours.coefficient(k)
         assert expected.coeff(u, k) == sympy.Rational(c.numerator, c.denominator), k
+
+
+def test_bernoulli_cache_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(201):
+        expected = abs(sympy.bernoulli(2 * n))
+        assert bernoulli_abs(n) == Fraction(int(expected.p), int(expected.q)), n
+
+
+def test_central_factorial_rows_against_the_defining_sum():
+    # T(2n, 2j) (2j)! = sum_i (-1)^i C(2j, i) (j - i)^(2n), the central
+    # factorial numbers of the second kind
+    for n in range(12):
+        for j in range(n + 1):
+            total = sum((-1) ** i * comb(2 * j, i) * (j - i) ** (2 * n) for i in range(2 * j + 1))
+            assert central_factorial_row(n)[j] * factorial(2 * j) == total, (n, j)
+
+
+def test_sine_bracket_genus_zero_against_inverse_route_to_the_order_limit():
+    # the old route: invert (2 sin(u/2))^2 built from central factorial numbers
+    top = 402
+    square = sine_bracket(1, 2, top + 4)
+    inverse = square.inverse()
+    assert inverse.truncation_order == top
+    for order in range(0, top + 1, 2):
+        assert sine_bracket(1, 0, order) == inverse.truncate(order), order
 
 
 def test_sine_bracket_even_parity():
@@ -220,6 +248,14 @@ def test_triangularity_of_the_inverse(table, g0, d0, bump):
             assert g >= g0
 
 
+@lru_cache(maxsize=None)
+def taylor_bracket(k: int, g: int, order: int) -> LaurentSeries:
+    """(2*sin(k*u/2))^(2g-2) as a power of the Taylor series of sine."""
+    if g == 0:
+        return (two_sine_half(k, order + 6) ** 2).inverse().truncate(order)
+    return (two_sine_half(k, order + 4) ** (2 * g - 2)).truncate(order)
+
+
 def per_divisor_grade_series(table: BpsTable, d: int, order: int) -> LaurentSeries:
     """Oracle: sum over k | d and genus g of (n_(g,d/k)/k) (2*sin(k*u/2))^(2g-2),
     each bracket a power of the Taylor series of sine."""
@@ -228,12 +264,23 @@ def per_divisor_grade_series(table: BpsTable, d: int, order: int) -> LaurentSeri
         for (g, grade), n in table.entries.items():
             if grade != d // k or 2 * g - 2 > order:
                 continue
-            if g == 0:
-                bracket = (two_sine_half(k, order + 6) ** 2).inverse().truncate(order)
-            else:
-                bracket = (two_sine_half(k, order + 4) ** (2 * g - 2)).truncate(order)
-            total = total + bracket * (Fraction(1, k) * n)
+            total = total + taylor_bracket(k, g, order) * (Fraction(1, k) * n)
     return total
+
+
+def test_grade_series_matches_per_divisor_brackets_at_the_order_limit():
+    grid = bps_grid_from_kkv(grid_column(6, 1))
+    for d in range(1, 7):
+        table = bps_table_from_grid(grid, d, 1)
+        assert gw_grade_series(table, d, 402) == per_divisor_grade_series(table, d, 402), d
+
+
+def test_gw_from_bps_matches_grade_series_at_every_grade():
+    # each F_e is built once per call and read by every grade e divides
+    table = bps_table_from_grid(bps_grid_from_kkv(grid_column(12, 1)), 12, 1)
+    potential = gw_from_bps(table, 12, 20)
+    for d in range(1, 13):
+        assert potential.grade_series(d) == gw_grade_series(table, d, 20), d
 
 
 @pytest.mark.parametrize("h", [0, 1, 2])

@@ -77,6 +77,17 @@ def test_mnop_check_passes(capsys):
     assert "equal: True" in out
 
 
+def test_mnop_check_json_reports_the_work_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "mnop-check", "--d", "2", "--h", "1", "--umax", "10", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    # a double pole and no zero at q = -1: 10 + 2*2 + 0 + 2
+    assert payload["work_order"] == 16
+    assert payload["u_order"] == 10 and payload["equal"] is True
+
+
 def test_mnop_check_rejects_odd_or_zero_umax(capsys):
     assert run_cli(capsys, "mnop-check", "--umax", "0")[0] == 2
     assert run_cli(capsys, "mnop-check", "--umax", "7")[0] == 2
@@ -187,6 +198,7 @@ def test_grid_column_above_limit_is_refused_up_front(capsys, monkeypatch, argv, 
         (["mnop-check", "--d", "0"], "--d"),
         (["check", "--dmax", "201", "--hmax", "1"], "--dmax"),
         (["check", "--dmax", "0"], "--dmax"),
+        (["nl-demo", "--mmax", "21", "--hmax", "1"], "--mmax"),
     ],
 )
 def test_divisibility_above_limit_is_refused_up_front(capsys, monkeypatch, argv, flag):
@@ -195,9 +207,10 @@ def test_divisibility_above_limit_is_refused_up_front(capsys, monkeypatch, argv,
     monkeypatch.setattr("k3bps.cli.bps_grid_from_kkv", _no_grid)
     monkeypatch.setattr("k3bps.cli.gw_from_bps", _no_grid)
     code, out, err = run_cli(capsys, *argv)
+    limit = 20 if flag == "--mmax" else 200
     assert code == 2
     assert out == ""
-    assert err == f"error: {flag} must be an integer from 1 to 200, the divisibility bound\n"
+    assert err == f"error: {flag} must be an integer from 1 to {limit}, the divisibility bound\n"
 
 
 @pytest.mark.parametrize(
@@ -314,6 +327,24 @@ def test_grid_timing_logged_only_under_kkv_log_debug(level, logged):
     )
     assert result.returncode == 0
     assert ("DEBUG k3bps: bps_grid_from_kkv h_max=2 in " in result.stderr) is logged
+    if not logged:
+        assert result.stderr == ""
+
+
+@pytest.mark.parametrize("level, logged", [(None, False), ("debug", True)])
+def test_substitution_logged_only_under_kkv_log_debug(level, logged):
+    env = {k: v for k, v in os.environ.items() if k != "KKV_LOG"}
+    if level:
+        env["KKV_LOG"] = level
+    result = subprocess.run(
+        [sys.executable, "-m", "k3bps.cli", "mnop-check", "--d", "1", "--h", "1", "--umax", "4"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0
+    line = "DEBUG k3bps: substitute_q_minus_exp pole=2 zero=0 work=10 in "
+    assert (line in result.stderr) is logged
     if not logged:
         assert result.stderr == ""
 

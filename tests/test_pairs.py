@@ -1,23 +1,30 @@
 from fractions import Fraction
 from math import factorial
+from random import Random
 
 import pytest
 
 from k3bps import (
+    ClassLabel,
     HodgeLabel,
     KkvBpsGrid,
+    LaurentSeries,
+    NlMatrix,
     PairsLedger,
     RationalFunction,
     bps_grid_from_kkv,
     bps_table_from_grid,
     check_q_inversion_symmetry,
+    combine,
     disconnected_partition,
     mnop_check,
     multiple_cover,
     primitive_pairs_ratfn,
     sine_bracket,
     substitute_q_minus_exp,
+    synthetic_k3_vectors,
 )
+from k3bps.pairs import grid_column, substitution_work_order
 
 FOOTNOTE = RationalFunction((0, 1), (1, 2, 1))  # q/(1+q)^2
 
@@ -161,12 +168,21 @@ def test_substitution_rejects_asymmetric_input():
         substitute_q_minus_exp(RationalFunction((1,), (1, -1)), 6)
 
 
-@pytest.mark.parametrize("d, h", [(1, 1), (2, 1)])
-def test_substitution_matches_sympy_series(grid5, d, h):
+@pytest.mark.parametrize(
+    "d, h, extra_pole",
+    [
+        pytest.param(1, 1, 0, id="1-1"),
+        pytest.param(2, 1, 0, id="2-1"),
+        pytest.param(1, 1, 2, id="1-1-pole4"),
+        pytest.param(2, 1, 4, id="2-1-pole6"),
+    ],
+)
+def test_substitution_matches_sympy_series(grid5, d, h, extra_pole):
     sympy = pytest.importorskip("sympy")
     u = sympy.Symbol("u")
     q = -sympy.exp(sympy.I * u)
-    fn = multiple_cover(HodgeLabel(d, h), grid5)
+    # each factor q/(1+q)^2 raises the order of the pole at q = -1 by two
+    fn = multiple_cover(HodgeLabel(d, h), grid5) * FOOTNOTE ** (extra_pole // 2)
 
     def at_q(poly):
         return sum(sympy.Rational(c.numerator, c.denominator) * q**j for j, c in enumerate(poly))
@@ -178,6 +194,92 @@ def test_substitution_matches_sympy_series(grid5, d, h):
         sympy.Rational(c.numerator, c.denominator) * u**k for k, c in ours.items()
     )
     assert sympy.simplify(expected - ours_expr) == 0
+
+
+def _fraction_multiplicity(p, root):
+    """Multiplicity of a root of a Fraction polynomial by repeated synthetic division."""
+    mult = 0
+    while p and sum(c * root**j for j, c in enumerate(p)) == 0:
+        quotient, carry = [Fraction(0)] * (len(p) - 1), Fraction(0)
+        for i in range(len(p) - 1, 0, -1):
+            carry = p[i] + carry * root
+            quotient[i - 1] = carry
+        while quotient and not quotient[-1]:
+            quotient.pop()
+        p, mult = quotient, mult + 1
+    return mult
+
+
+def _fraction_centred_series(p, centre2, order):
+    """e^{-iau} p(-e^{iu}) over Fraction, term by term from the exponential series."""
+    coeffs = []
+    for t in range(order + 1):
+        total = sum(c * (-1) ** j * Fraction(2 * j - centre2, 2) ** t for j, c in enumerate(p))
+        assert t % 2 == 0 or total == 0
+        coeffs.append(total * (-1) ** (t // 2) / factorial(t))
+    return LaurentSeries("u", 0, coeffs, order)
+
+
+def inverse_route_substitution(fn, u_order):
+    """Oracle: the Laurent-series route, num * den.inverse() over Fraction, with the
+    expansion order taken from the multiplicities of q = -1."""
+    pole = _fraction_multiplicity(fn.denominator, -1)
+    zero = _fraction_multiplicity(fn.numerator, -1)
+    work = max(u_order, 0) + 2 * pole + zero + 2
+    centre2 = next(i for i, c in enumerate(fn.denominator) if c) + len(fn.denominator) - 1
+    num = _fraction_centred_series(fn.numerator, centre2, work)
+    den = _fraction_centred_series(fn.denominator, centre2, work)
+    assert (num.valuation(), den.valuation()) == (zero, pole)
+    return (num * den.inverse()).truncate(u_order)
+
+
+def test_substitution_matches_inverse_route_on_small_classes(grid65):
+    ledger = PairsLedger(grid65)
+    for d in range(1, 5):
+        for h in range(6):
+            fn = multiple_cover(HodgeLabel(d, h), grid65, ledger)
+            top = inverse_route_substitution(fn, 40)
+            for u_order in range(41):
+                assert substitute_q_minus_exp(fn, u_order) == top.truncate(u_order), (d, h, u_order)
+
+
+@pytest.mark.parametrize("d, h", [(1, 1), (14, 2)])
+def test_substitution_matches_inverse_route_at_the_order_limit(d, h):
+    grid = bps_grid_from_kkv(grid_column(d, h))
+    fn = multiple_cover(HodgeLabel(d, h), grid)
+    assert substitute_q_minus_exp(fn, 402) == inverse_route_substitution(fn, 402)
+
+
+def test_substitution_matches_inverse_route_on_rational_nl_combinations(grid20, ledger20):
+    labels = [ClassLabel(m, h) for m, h in ((1, 0), (1, 1), (1, 2), (2, 1), (2, 5))]
+    rows = [f"beta{i}" for i in range(len(labels))]
+    _, pairs_vec = synthetic_k3_vectors(labels, grid20, 8, ledger20)
+    drawn = NlMatrix.random_invertible(rows, labels, Random(7))
+    weights = NlMatrix(rows, labels, drawn.inverse_data())
+    assert any(w.denominator > 1 for row in weights.data for w in row)
+    fibre = combine(pairs_vec, weights)
+    for row in rows:
+        fn = fibre.value(row)
+        assert any(c.denominator > 1 for c in fn.numerator), row
+        for u_order in (0, 7, 16):
+            assert substitute_q_minus_exp(fn, u_order) == inverse_route_substitution(fn, u_order)
+
+
+def test_substitution_below_the_valuation_is_the_zero_series():
+    # q/(1+q)^2 starts at u^-2, (1+q)^4/q^2 at u^4
+    for fn, u_order in ((FOOTNOTE, -3), (FOOTNOTE, -4), (FOOTNOTE ** -2, 3), (FOOTNOTE ** -2, -1)):
+        result = substitute_q_minus_exp(fn, u_order)
+        assert result == LaurentSeries.zero("u", u_order)
+        assert result == inverse_route_substitution(fn, u_order)
+
+
+def test_substitution_work_order_reaches_both_valuations(grid20, ledger20):
+    fn = multiple_cover(HodgeLabel(2, 1), grid20, ledger20)
+    assert substitution_work_order(fn, 10) == 10 + 2 * 2 + 0 + 2
+    assert substitution_work_order(FOOTNOTE ** -2, 6) == 6 + 0 + 4 + 2
+    assert mnop_check(HodgeLabel(2, 1), grid20, 10, ledger20).work_order == 16
+    with pytest.raises(ValueError, match="vanishing numerator"):
+        substitution_work_order(RationalFunction.zero(), 6)
 
 
 def test_substitution_rejects_zero():
