@@ -53,15 +53,15 @@ EXIT_USAGE = 2
 # Highest KKV grid column and highest divisibility a command may ask for, and
 # highest --umax (the u-order `gw` reaches at column 200).  The grid costs
 # 0.21 s at column 200; the binding costs are elsewhere (2-core Intel Xeon,
-# CPython 3.11): `check --dmax 200 --hmax 1` 41 s, `check --umax 402` 4.2 s,
+# CPython 3.11): `check --dmax 200 --hmax 1` 28 s, `check --umax 402` 3.9 s,
 # `gw --h 1 --dmax 200 --umax 402` 3.7 s, `mnop-check --d 14 --h 2 --umax
-# 402` 1.5 s, `pairs --d 200 --h 1` 1.8 s.
+# 402` 1.4 s, `pairs --d 200 --h 1` 1.7 s.
 MAX_GRID_COLUMN = 200
 MAX_U_ORDER = 2 * MAX_GRID_COLUMN + 2
 # Highest nl-demo --mmax.  At --hmax <= 1 no grid column bounds it, while the
 # NL matrix spans every m <= --mmax and its rational pairs sums grow with it:
-# `nl-demo --mmax 20 --hmax 1` takes 60 s on the same host, nearly all in
-# RationalFunction.linear_combination.
+# `nl-demo --mmax 20 --hmax 1` takes 21 s on the same host, nearly all in the
+# integer remainder-sequence gcd of RationalFunction.linear_combination.
 MAX_NL_DIVISIBILITY = 20
 
 

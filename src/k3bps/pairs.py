@@ -26,15 +26,17 @@ Every pairs function is reached through a :class:`PairsLedger`, which
 computes it once and checks its q <-> 1/q invariance.
 
 The substitution q = -exp(i*u) needs no imaginary unit and runs in
-integers.  Centred on the midpoint a of the denominator's degree range,
-e^{-iau} p(-e^{iu}) has u^t coefficient i^t/t! * sum_j p_j (-1)^j (j-a)^t;
-invariance under q <-> 1/q makes every odd-t sum vanish, which is checked
-exactly, so only real even powers of u remain and the factor e^{-iau}
-cancels in the quotient.  The two even series are divided in x = u^2 by one
-long division over integers; the pole at u = 0 is the multiplicity of the
-root q = -1, counted by integer synthetic division.  Nothing here reads the
-sine brackets of :mod:`k3bps.bps`, so :func:`mnop_check` compares two
-independent computations.
+integers, directly on the integer pair (num, den) that a RationalFunction
+stores, so nothing is cleared of denominators first.  Centred on the
+midpoint a of the denominator's degree range, e^{-iau} p(-e^{iu}) has u^t
+coefficient i^t/t! * sum_j p_j (-1)^j (j-a)^t; invariance under q <-> 1/q
+makes every odd-t sum vanish, which is checked exactly, so only real even
+powers of u remain and the factor e^{-iau} cancels in the quotient.  The
+two even series are divided in x = u^2 by one long division over integers;
+the pole at u = 0 is the multiplicity of the root q = -1, counted by integer
+synthetic division.  Nothing here reads the sine brackets of
+:mod:`k3bps.bps`, so :func:`mnop_check` compares two independent
+computations.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from time import perf_counter
 
 from .bps import BpsTable, divisors, gw_grade_series
@@ -181,13 +183,7 @@ def multiple_cover(
     return ledger.imprimitive(label.d, label.h)
 
 
-def _cleared(p: tuple) -> tuple[list[int], int]:
-    """The integer coefficients of m*p, with m the lcm of p's denominators."""
-    m = lcm(*(c.denominator for c in p))
-    return [c.numerator * (m // c.denominator) for c in p], m
-
-
-def _minus_one_multiplicity(p: list[int]) -> int:
+def _minus_one_multiplicity(p: tuple) -> int:
     """Multiplicity of q = -1 as a root of a nonzero integer polynomial.
 
     p(-1) is the alternating sum of the coefficients; division by the monic
@@ -205,7 +201,7 @@ def _minus_one_multiplicity(p: list[int]) -> int:
     return mult
 
 
-def _centred_even_coefficients(p: list[int], centre2: int, top: int) -> list[tuple[int, int]]:
+def _centred_even_coefficients(p: tuple, centre2: int, top: int) -> list[tuple[int, int]]:
     """The x^m coefficients (-1)^m S_2m / (4^m (2m)!), x = u^2, of e^{-iau} p(-e^{iu})
     with 2a = ``centre2``, for 2m <= top, as reduced integer pairs (numerator,
     positive denominator).
@@ -272,17 +268,18 @@ def substitution_work_order(r: RationalFunction, u_order: int) -> int:
     and the denominator of r for a result through u^``u_order``."""
     if r.is_zero:
         raise ValueError("the zero function has an identically vanishing numerator")
-    pole = _minus_one_multiplicity(_cleared(r.denominator)[0])
-    zero = _minus_one_multiplicity(_cleared(r.numerator)[0])
-    return _work_order(pole, zero, u_order)
+    numerator, denominator = r.integer_pair
+    return _work_order(
+        _minus_one_multiplicity(denominator), _minus_one_multiplicity(numerator), u_order
+    )
 
 
 def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     """Formal substitution q = -exp(i*u) into a rational function of q.
 
-    Numerator and denominator are cleared to integer polynomials and both
-    centred on a = (lowest + highest degree of the denominator) / 2; the
-    common factor e^{-iau} cancels in the quotient.  For a q <-> 1/q symmetric
+    The integer numerator and denominator of r are both centred on
+    a = (lowest + highest degree of the denominator) / 2; the common factor
+    e^{-iau} cancels in the quotient.  For a q <-> 1/q symmetric
     r both centred series are real and even in u; an odd term means r was
     not symmetric (or an arithmetic bug) and raises.  Being even, they are
     divided as series in x = u^2 by one long division, every step an integer
@@ -294,8 +291,7 @@ def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     if r.is_zero:
         raise ValueError("the zero function has an identically vanishing numerator")
     start = perf_counter()
-    numerator, num_scale = _cleared(r.numerator)
-    denominator, den_scale = _cleared(r.denominator)
+    numerator, denominator = r.integer_pair
     pole = _minus_one_multiplicity(denominator)
     zero = _minus_one_multiplicity(numerator)
     work = _work_order(pole, zero, u_order)
@@ -311,7 +307,7 @@ def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     count = (u_order - lowest) // 2 + 1 if u_order >= lowest else 0
     coeffs: list = [0] * max(u_order - lowest + 1, 0)
     for k, (n, d) in enumerate(_long_division(a[va:], b[vb:], count)):
-        coeffs[2 * k] = Fraction(n * den_scale, d * num_scale)
+        coeffs[2 * k] = Fraction(n, d)
     log.debug(
         "substitute_q_minus_exp pole=%d zero=%d work=%d in %.3f s",
         pole,

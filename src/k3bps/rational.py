@@ -1,12 +1,19 @@
 """Rational functions of q over the rationals, in canonical form.
 
-The canonical form (numerator and denominator coprime, denominator monic)
-makes equality decidable by structural comparison, which the identity checks
-rely on.  Expansion about q = 0 returns a truncated Laurent series; the
-q <-> 1/q inversion check compares a function with its reciprocal
-substitution, built in canonical form without a gcd.
+A function is stored as its unique integer pair (num, den): the two
+polynomials are coprime over Q, the coefficients of both taken together have
+gcd 1, and den has a positive leading coefficient.  Equality is structural
+comparison of that pair, which the identity checks rely on.  The public
+``numerator`` and ``denominator`` are the monic view of the same pair, tuples
+of Fractions divided by the leading coefficient of den.  Expansion about
+q = 0 returns a truncated Laurent series; the q <-> 1/q inversion check
+compares a function with its reciprocal substitution, built in canonical
+form without a gcd.
 
-Reduction (a polynomial gcd and two exact divisions) is the expensive step.
+All polynomial arithmetic is in the integers.  Reduction (a polynomial gcd
+and two exact divisions) is the expensive step.  The gcd is primitive, and
+by Gauss's lemma a primitive polynomial that divides an integer polynomial
+over Q divides it over Z, so both divisions are exact integer divisions.
 The gcd splits off each operand's own power of q before its integer
 remainder sequence, gcd(q^a A, q^b B) = q^min(a,b) gcd(A, B) for A, B prime
 to q, so the power of q in a denominator such as q^S (1+q)^2 never enters it.
@@ -16,9 +23,9 @@ common denominator and canonicalizes the total, and ``+`` goes through it.
 Operations that cannot create a common factor skip the gcd altogether: for
 n/d in canonical form and a constant c != 0, gcd(c*n, d) = 1 and
 gcd(n + c*d, d) = gcd(n, d) = 1, and a power n^e/d^e of a coprime pair is
-coprime.
+coprime; they only restore the integer content and sign.
 
-Polynomials are dense tuples of Fractions, constant term first; the zero
+Polynomials are dense tuples of ints, constant term first; the zero
 polynomial is the empty tuple.
 """
 
@@ -34,61 +41,31 @@ from .series import LaurentSeries
 Poly = tuple
 
 
-# -- polynomial helpers --------------------------------------------------------
+# -- integer polynomial helpers ------------------------------------------------
 
 
-def _as_poly(value) -> Poly:
-    if isinstance(value, (int, Fraction)):
-        value = [value]
-    return _trim(tuple(as_fraction(c) for c in value))
-
-
-def _trim(p: Sequence[Fraction]) -> Poly:
+def _trim(p: Sequence[int]) -> Poly:
     n = len(p)
     while n and not p[n - 1]:
         n -= 1
     return tuple(p[:n])
 
 
-def _deg(p: Poly) -> int:
-    return len(p) - 1
-
-
-def _padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _pneg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
-def _pscale(a: Poly, s: Fraction) -> Poly:
-    if not s:
-        return ()
-    return tuple(c * s for c in a)
-
-
 def _pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
+        if x:
+            for j, y in nonzero_b:
                 out[i + j] += x * y
     return _trim(out)
 
 
 def _ppow(a: Poly, exponent: int) -> Poly:
     """a**exponent for an integer exponent >= 0, by repeated squaring."""
-    out: Poly = (Fraction(1),)
+    out: Poly = (1,)
     while exponent:
         if exponent & 1:
             out = _pmul(out, a)
@@ -99,26 +76,23 @@ def _ppow(a: Poly, exponent: int) -> Poly:
 
 
 def _pexact_div(a: Poly, b: Poly) -> Poly:
-    """a / b for a polynomial b known to divide a."""
-    quotient, remainder = _pdivmod(a, b)
-    if remainder:
-        raise ArithmeticError("exact polynomial division left a remainder")
-    return quotient
-
-
-def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+    """a / b in Z[q] for a nonzero b; raises ArithmeticError on any remainder."""
     r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    for top in range(len(a) - 1, len(b) - 2, -1):
-        c = r[top] * inv_lead
+    span = len(b) - 1
+    quotient = [0] * max(len(a) - span, 0)
+    lead = b[-1]
+    lower = [(j - span, c) for j, c in enumerate(b[:-1]) if c]
+    for top in range(len(a) - 1, span - 1, -1):
+        c, rem = divmod(r[top], lead)
+        if rem:
+            raise ArithmeticError("exact polynomial division left a remainder")
         if c:
-            q[top - len(b) + 1] = c
-            for j in range(len(b)):
-                r[top - len(b) + 1 + j] -= c * b[j]
-    return _trim(q), _trim(r)
+            quotient[top - span] = c
+            for offset, y in lower:
+                r[top + offset] -= c * y
+    if any(r[:span]):
+        raise ArithmeticError("exact polynomial division left a remainder")
+    return _trim(quotient)
 
 
 def _pval(p: Poly) -> int | None:
@@ -135,60 +109,39 @@ def _peval(p: Poly, x):
     return acc
 
 
-def _pcompose_scaled_power(p: Poly, scale: Fraction, power: int) -> Poly:
-    """p(scale * q**power) for an integer power >= 1."""
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    if not p:
-        return ()
-    out = [Fraction(0)] * ((len(p) - 1) * power + 1)
-    s = Fraction(1)
+def _pcompose_scaled_power(p: Poly, top: int, scale: Fraction, power: int) -> Poly:
+    """b^top p(a/b q**power) for scale = a/b, an integer polynomial for top >= deg p."""
+    out = [0] * ((len(p) - 1) * power + 1)
+    a, b = scale.numerator, scale.denominator
     for j, c in enumerate(p):
         if c:
-            out[j * power] += c * s
-        s *= scale
-    return _trim(out)
-
-
-def _to_primitive_int(p: Poly) -> tuple:
-    """Scale a rational polynomial to a primitive integer one (sign of leading > 0)."""
-    denom_lcm = lcm(*(c.denominator for c in p))
-    return _int_primitive(tuple(int(c * denom_lcm) for c in p))
+            out[j * power] = c * a**j * b ** (top - j)
+    return tuple(out)
 
 
 def _int_prem(a: tuple, b: tuple) -> tuple:
     """Pseudo-remainder of integer polynomials (exact, stays in the integers)."""
-    lead_b = b[-1]
-    r = list(a)
-    while len(r) >= len(b) and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1]
-        shift = len(r) - len(b)
-        r = [x * lead_b for x in r]
-        for j in range(len(b)):
-            r[shift + j] -= c * b[j]
-        r.pop()
-    while r and not r[-1]:
-        r.pop()
-    return tuple(r)
+    r = a
+    while len(r) >= len(b):
+        c, shift = r[-1], len(r) - len(b)
+        out = [x * b[-1] for x in r]
+        for j, y in enumerate(b):
+            out[shift + j] -= c * y
+        r = _trim(out)
+    return r
 
 
 def _int_primitive(p: tuple) -> tuple:
-    content = 0
-    for c in p:
-        content = gcd(content, abs(c))
-    if content > 1:
-        p = tuple(c // content for c in p)
+    """p over its content, with positive leading coefficient."""
+    content = gcd(*p)
     if p and p[-1] < 0:
-        p = tuple(-c for c in p)
-    return p
+        content = -content
+    return p if content in (0, 1) else tuple(c // content for c in p)
 
 
 def _pgcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via a primitive pseudo-remainder sequence over the integers.
+    """Primitive gcd with positive leading coefficient, by a primitive
+    pseudo-remainder sequence over the integers.
 
     Each operand's own power of q is split off first: for A, B not divisible
     by q, gcd(q^a A, q^b B) = q^min(a,b) gcd(A, B).  That is cheap, and the
@@ -196,30 +149,38 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     handled here, so a pairs denominator q^S (1+q)^2 enters the sequence at
     degree 2.  The primitive-part normalization after every pseudo-division
     keeps the integer coefficients from the exponential blowup of naive
-    fraction Euclid.
+    Euclid.
     """
-    if not a:
-        b = _trim(b)
-        return _pscale(b, 1 / b[-1]) if b else ()
-    if not b:
-        a = _trim(a)
-        return _pscale(a, 1 / a[-1])
+    if not a or not b:
+        return _int_primitive(a or b)
     va, vb = _pval(a), _pval(b)
-    shift = min(va, vb)
-    x = _to_primitive_int(a[va:])
-    y = _to_primitive_int(b[vb:])
+    x = _int_primitive(a[va:])
+    y = _int_primitive(b[vb:])
     if len(x) < len(y):
         x, y = y, x
     while y:
         x, y = y, _int_primitive(_int_prem(x, y))
-    lead = Fraction(x[-1])
-    core = tuple(Fraction(c) / lead for c in x)
-    if shift:
-        core = ((Fraction(0),) * shift) + core
-    return core
+    return (0,) * min(va, vb) + x
 
 
-def _poly_str(p: Poly, variable: str = "q") -> str:
+def _scalars(value) -> list:
+    if isinstance(value, (int, Fraction)):
+        value = (value,)
+    return [c if type(c) is int else as_fraction(c) for c in value]
+
+
+def _integral(numerator, denominator) -> tuple[Poly, Poly]:
+    """Integer polynomials in the ratio of two sequences of ints and Fractions
+    (or two such scalars): both are scaled by the lcm of every denominator."""
+    num, den = _scalars(numerator), _scalars(denominator)
+    scale = lcm(*(c.denominator for c in num), *(c.denominator for c in den))
+    return (
+        _trim([c.numerator * (scale // c.denominator) for c in num]),
+        _trim([c.numerator * (scale // c.denominator) for c in den]),
+    )
+
+
+def _poly_str(p: Sequence[Fraction], variable: str = "q") -> str:
     if not p:
         return "0"
     parts = []
@@ -243,16 +204,16 @@ def _poly_str(p: Poly, variable: str = "q") -> str:
 
 
 class RationalFunction:
-    """A ratio of polynomials in q, reduced with monic denominator."""
+    """A ratio of integer polynomials in q, coprime and jointly primitive,
+    with positive leading coefficient in the denominator."""
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, numerator, denominator=(1,)) -> None:
-        num = _as_poly(numerator)
-        den = _as_poly(denominator)
+        num, den = _integral(numerator, denominator)
         if num and den:
             g = _pgcd(num, den)
-            if _deg(g) > 0:
+            if len(g) > 1:
                 num = _pexact_div(num, g)
                 den = _pexact_div(den, g)
         self._set_normalized(num, den)
@@ -261,23 +222,24 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     def _set_normalized(self, num: Poly, den: Poly) -> None:
-        """Store a coprime pair with the zero numerator over 1 and den monic."""
+        """Store a coprime integer pair with the zero numerator over 1, the
+        joint content divided out and the leading coefficient of den > 0."""
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            den = (Fraction(1),)
-        elif den[-1] != 1:
-            lead = den[-1]
-            num = _pscale(num, 1 / lead)
-            den = _pscale(den, 1 / lead)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+            den = (1,)
+        else:
+            # the last coefficient of num + den is the leading one of den
+            both = _int_primitive(num + den)
+            num, den = both[: len(num)], both[len(num) :]
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _from_coprime(cls, numerator, denominator) -> "RationalFunction":
-        """Fast path for callers that guarantee gcd(num, den) == 1."""
+    def _from_coprime(cls, numerator: Poly, denominator: Poly) -> "RationalFunction":
+        """Fast path for integer polynomials with gcd(num, den) == 1 over Q."""
         self = object.__new__(cls)
-        self._set_normalized(_as_poly(numerator), _as_poly(denominator))
+        self._set_normalized(_trim(numerator), _trim(denominator))
         return self
 
     @classmethod
@@ -298,15 +260,33 @@ class RationalFunction:
     # -- inspection ----------------------------------------------------------
 
     @property
+    def integer_pair(self) -> tuple[Poly, Poly]:
+        """The stored (num, den): coprime integer polynomials, jointly
+        primitive, den with positive leading coefficient."""
+        return self._num, self._den
+
+    @property
+    def numerator(self) -> tuple:
+        """The numerator over the monic denominator, as Fractions."""
+        lead = self._den[-1]
+        return tuple(Fraction(c, lead) for c in self._num)
+
+    @property
+    def denominator(self) -> tuple:
+        """The monic denominator, as Fractions."""
+        lead = self._den[-1]
+        return tuple(Fraction(c, lead) for c in self._den)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.numerator
+        return not self._num
 
     def evaluate(self, point):
         """Exact evaluation at a rational point."""
-        den = _peval(self.denominator, point)
+        den = _peval(self._den, point)
         if not den:
             raise ZeroDivisionError(f"denominator vanishes at {point}")
-        return _peval(self.numerator, point) / den
+        return _peval(self._num, point) / den
 
     # -- field operations -----------------------------------------------------
 
@@ -323,9 +303,9 @@ class RationalFunction:
         """The sum of weight * fn over (weight, fn) pairs, reduced once.
 
         Weights are int or Fraction.  The terms are put over the lcm of the
-        distinct denominators (no work when they are all equal), their
-        scaled numerators are added in one pass, and only the total is
-        canonicalized.
+        distinct denominators (no work when they are all equal) times the lcm
+        of the weights' denominators, their integer numerators are added in
+        one pass, and only the total is canonicalized.
         """
         parts = [(as_fraction(w), fn) for w, fn in terms if w and not fn.is_zero]
         if not parts:
@@ -333,31 +313,35 @@ class RationalFunction:
         if len(parts) == 1:
             weight, fn = parts[0]
             return fn * weight
-        common = parts[0][1].denominator
+        common = parts[0][1]._den
         for _, fn in parts[1:]:
-            den = fn.denominator
+            den = fn._den
             if den != common:
                 common = _pmul(common, _pexact_div(den, _pgcd(common, den)))
+        scale = lcm(*(w.denominator for w, _ in parts))
         cofactors = {}
         total: list = []
         for weight, fn in parts:
-            num, den = fn.numerator, fn.denominator
+            num, den = fn._num, fn._den
             if den != common:
                 if den not in cofactors:
                     cofactors[den] = _pexact_div(common, den)
                 num = _pmul(num, cofactors[den])
+            w = weight.numerator * (scale // weight.denominator)
             total.extend([0] * (len(num) - len(total)))
             for i, c in enumerate(num):
-                total[i] += weight * c
-        return cls(total, common)
+                total[i] += w * c
+        return cls(total, tuple(scale * c for c in common))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             # gcd(n + c*d, d) = gcd(n, d) = 1
-            return RationalFunction._from_coprime(
-                _padd(self.numerator, _pscale(self.denominator, other)),
-                self.denominator,
-            )
+            a, b = other.numerator, other.denominator
+            num = [b * c for c in self._num]
+            num.extend([0] * (len(self._den) - len(num)))
+            for i, c in enumerate(self._den):
+                num[i] += a * c
+            return RationalFunction._from_coprime(num, tuple(b * c for c in self._den))
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return RationalFunction.linear_combination(((1, self), (1, other)))
@@ -365,7 +349,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._from_coprime(_pneg(self.numerator), self.denominator)
+        return RationalFunction._from_coprime(tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other):
         if not isinstance(other, (RationalFunction, int, Fraction)):
@@ -378,14 +362,14 @@ class RationalFunction:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # gcd(c*n, d) = 1 for a constant c != 0
-            return RationalFunction._from_coprime(_pscale(self.numerator, other), self.denominator)
+            a, b = other.numerator, other.denominator
+            return RationalFunction._from_coprime(
+                tuple(a * c for c in self._num), tuple(b * c for c in self._den)
+            )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(
-            _pmul(self.numerator, other.numerator),
-            _pmul(self.denominator, other.denominator),
-        )
+        return RationalFunction(_pmul(self._num, other._num), _pmul(self._den, other._den))
 
     __rmul__ = __mul__
 
@@ -395,10 +379,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(
-            _pmul(self.numerator, other.denominator),
-            _pmul(self.denominator, other.numerator),
-        )
+        return RationalFunction(_pmul(self._num, other._den), _pmul(self._den, other._num))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -409,7 +390,7 @@ class RationalFunction:
     def __pow__(self, exponent: int) -> "RationalFunction":
         if not isinstance(exponent, int):
             raise TypeError("exponent must be an int")
-        num, den = self.numerator, self.denominator
+        num, den = self._num, self._den
         if exponent < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of the zero rational function")
@@ -424,11 +405,15 @@ class RationalFunction:
         scale = as_fraction(scale)
         if not scale:
             raise ValueError("scale must be nonzero")
+        if power < 1:
+            raise ValueError("power must be >= 1")
         # Composition with a nonzero monomial preserves coprimality: a common
         # root of the composites would map to a common root of num and den.
+        # Both sides are scaled by the denominator of scale to the top degree.
+        top = max(len(self._num), len(self._den)) - 1
         return RationalFunction._from_coprime(
-            _pcompose_scaled_power(self.numerator, scale, power),
-            _pcompose_scaled_power(self.denominator, scale, power),
+            _pcompose_scaled_power(self._num, top, scale, power),
+            _pcompose_scaled_power(self._den, top, scale, power),
         )
 
     def reciprocal_substitution(self) -> "RationalFunction":
@@ -440,14 +425,14 @@ class RationalFunction:
         common root 1/r of n and d, and the constant terms are the pair's
         coefficients at q^max(dn, dd), one of which is a leading coefficient.
         """
-        num, den = self.numerator, self.denominator
-        dn, dd = _deg(num), _deg(den)
+        num, den = self._num, self._den
+        dn, dd = len(num) - 1, len(den) - 1
         rnum = tuple(reversed(num))
         rden = tuple(reversed(den))
         if dd >= dn:
-            rnum = ((Fraction(0),) * (dd - dn)) + rnum
+            rnum = (0,) * (dd - dn) + rnum
         else:
-            rden = ((Fraction(0),) * (dn - dd)) + rden
+            rden = (0,) * (dn - dd) + rden
         return RationalFunction._from_coprime(rnum, rden)
 
     # -- comparison / display -----------------------------------------------------
@@ -456,13 +441,13 @@ class RationalFunction:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return self.numerator == coerced.numerator and self.denominator == coerced.denominator
+        return self._num == coerced._num and self._den == coerced._den
 
     def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))
+        return hash((self._num, self._den))
 
     def __str__(self) -> str:
-        if self.denominator == (Fraction(1),):
+        if len(self._den) == 1:
             return _poly_str(self.numerator)
         return f"({_poly_str(self.numerator)})/({_poly_str(self.denominator)})"
 
@@ -475,21 +460,22 @@ class RationalFunction:
 
 def ratfn_eq(a: RationalFunction, b: RationalFunction) -> bool:
     """Equality by cross-multiplication (canonical forms make this structural)."""
-    return _pmul(a.numerator, b.denominator) == _pmul(b.numerator, a.denominator)
+    return _pmul(a._num, b._den) == _pmul(b._num, a._den)
 
 
 def ratfn_expand(a: RationalFunction, order: int) -> LaurentSeries:
     """Laurent expansion about q = 0 up to and including q**order."""
     if a.is_zero:
         return LaurentSeries.zero("q", order)
-    nv = _pval(a.numerator)
-    dv = _pval(a.denominator)
+    num, den = a.integer_pair
+    nv = _pval(num)
+    dv = _pval(den)
     shift = nv - dv
     rel = order - shift
     if rel < 0:
         return LaurentSeries.zero("q", order)
-    num_unit = LaurentSeries("q", 0, a.numerator[nv : nv + rel + 1], rel)
-    den_unit = LaurentSeries("q", 0, a.denominator[dv : dv + rel + 1], rel)
+    num_unit = LaurentSeries("q", 0, num[nv : nv + rel + 1], rel)
+    den_unit = LaurentSeries("q", 0, den[dv : dv + rel + 1], rel)
     return (num_unit * den_unit.inverse()).shifted(shift)
 
 
@@ -497,8 +483,9 @@ def check_q_inversion_symmetry(a: RationalFunction) -> bool:
     """True iff a(q) == a(1/q) as rational functions.
 
     Exact by structural comparison: both ``a`` and its reciprocal
-    substitution are in canonical form (coprime, denominator monic, zero as
+    substitution are in canonical form (coprime integer pair, jointly
+    primitive, positive leading coefficient in the denominator, zero as
     0/1), and a rational function has exactly one canonical form, so the two
-    functions are equal iff their numerator and denominator tuples are.
+    functions are equal iff their integer pairs are.
     """
     return a.reciprocal_substitution() == a

@@ -103,6 +103,32 @@ def test_multiple_cover_two_divisors_oracle(grid20):
         assert multiple_cover(label, grid20) == expected
 
 
+@pytest.mark.parametrize("d, h", [*((d, 1) for d in range(1, 7)), (3, 2)])
+def test_multiple_cover_matches_sympy_divisor_sum(grid20, d, h):
+    # sum_(k|d) (1/k) P_(h_of(k))(-(-q)^k) built and cancelled in sympy from the
+    # primitive functions' public tuples, against the monic canonical tuples
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    label = HodgeLabel(d, h)
+
+    def at(poly, x):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**j for j, c in enumerate(poly))
+
+    def as_tuple(expr):
+        coeffs = reversed(sympy.Poly(expr, q).all_coeffs())
+        return tuple(Fraction(int(c.p), int(c.q)) for c in coeffs)
+
+    total = 0
+    for k in (k for k in range(1, d + 1) if d % k == 0):
+        fn = primitive_pairs_ratfn(label.h_of(k), grid20)
+        x = -((-q) ** k)
+        total += sympy.Rational(1, k) * at(fn.numerator, x) / at(fn.denominator, x)
+    num, den = sympy.fraction(sympy.cancel(sympy.together(total)))
+    lead = sympy.Poly(den, q).LC()
+    fn = multiple_cover(label, grid20)
+    assert (fn.numerator, fn.denominator) == (as_tuple(num / lead), as_tuple(den / lead))
+
+
 def test_multiple_cover_series_symmetric(grid20, ledger20):
     for d in (1, 2, 3):
         for h in (0, 1, 2):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,8 @@ from k3bps import (
     ratfn_eq,
     ratfn_expand,
 )
-from k3bps.rational import _padd, _pmul, _pscale
+from k3bps.jsonio import ratfn_from_jsonable, ratfn_to_jsonable
+from k3bps.rational import _pexact_div
 
 coeffs = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=5
@@ -26,6 +28,30 @@ scalars = st.one_of(
 FOOTNOTE = RationalFunction((0, 1), (1, 2, 1))  # q / (1+q)^2
 
 
+# Fraction-tuple polynomial arithmetic for the oracles below, kept apart from
+# the integer arithmetic inside RationalFunction.
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a))
+
+
+def _pscale(a, s):
+    return tuple(Fraction(s) * c for c in a)
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def test_canonical_form_reduces_common_factors():
     # q*(1+q) / (1+q) -> q
     assert RationalFunction((0, 1, 1), (1, 1)) == RationalFunction((0, 1))
@@ -33,6 +59,38 @@ def test_canonical_form_reduces_common_factors():
     fn = RationalFunction((2,), (0, 4))
     assert fn.denominator == (0, 1)
     assert fn.numerator == (Fraction(1, 2),)
+
+
+@given(ratfns)
+@example(RationalFunction.zero())
+@example(RationalFunction((Fraction(-1, 2), 0, Fraction(3, 4)), (0, Fraction(-2, 3))))
+def test_stored_pair_is_the_canonical_integer_pair(fn):
+    num, den = fn.integer_pair
+    assert all(type(c) is int for c in num + den)
+    assert gcd(*num, *den) == 1
+    assert den[-1] > 0
+    if fn.is_zero:
+        assert (num, den) == ((), (1,))
+    assert fn.denominator[-1] == 1
+    assert all(type(c) is Fraction for c in fn.numerator + fn.denominator)
+
+
+@given(ratfns)
+def test_public_view_and_json_round_trip(fn):
+    assert RationalFunction(fn.numerator, fn.denominator) == fn
+    assert ratfn_from_jsonable(ratfn_to_jsonable(fn)) == fn
+
+
+def test_exact_division_raises_on_any_remainder():
+    # 1 + q^2 = (q - 1)(1 + q) + 2: the remainder sits in the constant term only
+    with pytest.raises(ArithmeticError):
+        _pexact_div((1, 0, 1), (1, 1))
+    with pytest.raises(ArithmeticError):
+        _pexact_div((1, 1), (2, 2))  # divisible over Q, not over Z
+    with pytest.raises(ArithmeticError):
+        _pexact_div((3,), (1, 1))  # divisor of higher degree
+    assert _pexact_div((1, 0, -1), (1, 1)) == (1, -1)
+    assert _pexact_div((), (1, 1)) == ()
 
 
 def test_zero_denominator_rejected():
