@@ -336,6 +336,8 @@ def bps_from_gw(potential: GwPotential, d_max: int) -> BpsTable:
             c = residual.coefficient(2 * g - 2)
             if c:
                 solved[g] = entries[(g, d)] = c
-                residual = residual - sine_bracket(1, g, u_order) * c
+                residual = LaurentSeries.linear_combination(
+                    ((1, residual), (-c, sine_bracket(1, g, u_order)))
+                )
         primitives[d] = _primitive_numerators(solved, u_order)
     return BpsTable(entries, square_labels=None)

@@ -41,6 +41,7 @@ from .pairs import (
     grid_column,
     mnop_check,
     multiple_cover,
+    substitution_work_order,
 )
 from .rational import check_q_inversion_symmetry, ratfn_expand
 
@@ -244,13 +245,15 @@ def cmd_mnop_check(args) -> int:
     _require(args.h >= 0, "--h must be >= 0")
     _even_order(args.umax, "--umax")
     grid = _grid_for_label(args.d, args.h)
-    report = mnop_check(HodgeLabel(args.d, args.h), grid, args.umax)
+    ledger = PairsLedger(grid)
+    report = mnop_check(HodgeLabel(args.d, args.h), grid, args.umax, ledger)
     if args.format == "json":
+        work_order = substitution_work_order(ledger.imprimitive(args.d, args.h), args.umax)
         payload = {
             "d": args.d,
             "h": args.h,
             "u_order": args.umax,
-            "work_order": report.work_order,
+            "work_order": work_order,
             "equal": report.equal,
             "gw_series": series_to_jsonable(report.lhs),
             "pairs_series": series_to_jsonable(report.rhs),
@@ -348,14 +351,7 @@ def cmd_check(args) -> int:
         )
     else:
         bounds = dict(
-            u_order=args.umax,
-            mnop_d_max=args.dmax,
-            mnop_h_max=args.hmax,
-            sym_d_max=4,
-            sym_h_max=5,
-            law_h_max=20,
-            aspmor_d_max=6,
-            cases=args.cases,
+            u_order=args.umax, mnop_d_max=args.dmax, mnop_h_max=args.hmax, cases=args.cases
         )
     _require_column(
         grid_column(bounds["mnop_d_max"], bounds["mnop_h_max"]),

@@ -2,26 +2,30 @@
 
 A :class:`GradedSeries` stores one value per grade d = 1..max_degree (the
 coefficient of the d-th power of the formal class variable), plus an optional
-exact unit at grade 0.  Values can be anything forming a commutative
-Q-algebra under ``+``, ``*`` and scalar multiplication by Fraction: truncated
-Laurent series or rational functions in practice.
+exact unit at grade 0.  Values form a commutative Q-algebra under ``*``; they
+are truncated Laurent series or rational functions in practice, and each must
+offer ``is_zero`` and a ``linear_combination`` classmethod over
+``(weight, value)`` pairs, as :class:`~k3bps.series.LaurentSeries` and
+:class:`~k3bps.rational.RationalFunction` do.
 
-exp and log act degree-by-degree in the grading and convert between
-connected data (no grade-0 term) and disconnected partition-function data
-(unit at grade 0); they are mutually inverse.
+Every grade of a sum, a product, exp or log is one ``linear_combination`` of
+its terms, so a rational function is reduced once per grade rather than after
+every addition.  exp and log act degree-by-degree in the grading and convert
+between connected data (no grade-0 term) and disconnected partition-function
+data (unit at grade 0); they are mutually inverse.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Mapping
 
 
-def _is_zero_value(value) -> bool:
-    probe = getattr(value, "is_zero", None)
-    if probe is not None:
-        return bool(probe)
-    return not value
+def _sum(terms: list):
+    """The sum of weight * value over nonempty (weight, value) terms, as one
+    linear combination in the values' own type."""
+    return type(terms[0][1]).linear_combination(terms)
 
 
 class GradedSeries:
@@ -37,7 +41,7 @@ class GradedSeries:
             grade = int(grade)
             if not 1 <= grade <= max_degree:
                 raise ValueError(f"grade {grade} outside 1..{max_degree}")
-            if not _is_zero_value(value):
+            if not value.is_zero:
                 kept[grade] = value
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "entries", kept)
@@ -60,40 +64,30 @@ class GradedSeries:
         if self.has_unit or other.has_unit:
             raise ValueError("cannot add graded series carrying a grade-0 unit")
         top = min(self.max_degree, other.max_degree)
-        out = {}
-        for grade in range(1, top + 1):
-            a = self.entries.get(grade)
-            b = other.entries.get(grade)
-            if a is None and b is None:
-                continue
-            out[grade] = b if a is None else (a if b is None else a + b)
-        return GradedSeries(top, out)
+        terms = defaultdict(list)
+        for series in (self, other):
+            for grade, value in series.entries.items():
+                if grade <= top:
+                    terms[grade].append((1, value))
+        return GradedSeries(top, {grade: _sum(t) for grade, t in terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, GradedSeries):
             return NotImplemented
         top = min(self.max_degree, other.max_degree)
-        out: dict[int, object] = {}
-
-        def _acc(grade, value):
-            if grade in out:
-                out[grade] = out[grade] + value
-            else:
-                out[grade] = value
-
+        terms = defaultdict(list)
         for d1, v1 in self.entries.items():
             for d2, v2 in other.entries.items():
                 if d1 + d2 <= top:
-                    _acc(d1 + d2, v1 * v2)
-        if self.has_unit:
-            for d2, v2 in other.entries.items():
-                if d2 <= top:
-                    _acc(d2, v2)
-        if other.has_unit:
-            for d1, v1 in self.entries.items():
-                if d1 <= top:
-                    _acc(d1, v1)
-        return GradedSeries(top, out, has_unit=self.has_unit and other.has_unit)
+                    terms[d1 + d2].append((1, v1 * v2))
+        # the unit of one factor carries the other's entries through unchanged
+        for unit, series in ((self.has_unit, other), (other.has_unit, self)):
+            if unit:
+                for grade, value in series.entries.items():
+                    if grade <= top:
+                        terms[grade].append((1, value))
+        summed = {grade: _sum(t) for grade, t in terms.items()}
+        return GradedSeries(top, summed, has_unit=self.has_unit and other.has_unit)
 
     # -- exp / log -----------------------------------------------------------
 
@@ -104,15 +98,14 @@ class GradedSeries:
         out: dict[int, object] = {}
         # D*F_D = sum_{j=1..D} j*g_j*F_{D-j}   with F_0 = 1
         for grade in range(1, self.max_degree + 1):
-            acc = self.entries.get(grade)  # j = grade term against F_0
+            terms = [(1, self.entries[grade])] if grade in self.entries else []
             for j in range(1, grade):
                 g = self.entries.get(j)
                 f = out.get(grade - j)
                 if g is not None and f is not None:
-                    term = (g * f) * Fraction(j, grade)
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                out[grade] = acc
+                    terms.append((Fraction(j, grade), g * f))
+            if terms:
+                out[grade] = _sum(terms)
         return GradedSeries(self.max_degree, out, has_unit=True)
 
     def log(self) -> "GradedSeries":
@@ -122,15 +115,14 @@ class GradedSeries:
         out: dict[int, object] = {}
         # g_D = F_D - (1/D) * sum_{j=1..D-1} j*g_j*F_{D-j}
         for grade in range(1, self.max_degree + 1):
-            acc = self.entries.get(grade)
+            terms = [(1, self.entries[grade])] if grade in self.entries else []
             for j in range(1, grade):
                 g = out.get(j)
                 f = self.entries.get(grade - j)
                 if g is not None and f is not None:
-                    term = (g * f) * Fraction(-j, grade)
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                out[grade] = acc
+                    terms.append((Fraction(-j, grade), g * f))
+            if terms:
+                out[grade] = _sum(terms)
         return GradedSeries(self.max_degree, out)
 
     # -- comparison / display ---------------------------------------------------

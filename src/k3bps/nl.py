@@ -212,17 +212,23 @@ class InvariantVector:
         return f"InvariantVector({list(self.labels)!r})"
 
 
+def _apply(weights, vector: InvariantVector, inputs, outputs) -> InvariantVector:
+    """The vector whose value at outputs[i] is the sum over j of
+    weights[i][j] * vector[inputs[j]], one ``linear_combination`` per label."""
+    kind = type(vector.value(inputs[0]))
+    return InvariantVector(
+        {
+            label: kind.linear_combination((w, vector.value(x)) for w, x in zip(row, inputs))
+            for label, row in zip(outputs, weights)
+        }
+    )
+
+
 def combine(k3: InvariantVector, nl: NlMatrix) -> InvariantVector:
     """Fibre-class invariants as the NL-weighted sums of K3 invariants."""
     if set(k3.labels) != set(nl.cols):
         raise ValueError("vector labels do not match the matrix columns")
-    kind = type(k3.value(nl.cols[0]))
-    out = {}
-    for i, row in enumerate(nl.rows):
-        out[row] = kind.linear_combination(
-            (nl.data[i][j], k3.value(col)) for j, col in enumerate(nl.cols)
-        )
-    return InvariantVector(out)
+    return _apply(nl.data, k3, nl.cols, nl.rows)
 
 
 def invert_correspondence(fib: InvariantVector, nl: NlMatrix) -> InvariantVector:
@@ -230,14 +236,7 @@ def invert_correspondence(fib: InvariantVector, nl: NlMatrix) -> InvariantVector
     combine(result, nl) == fib for an invertible matrix."""
     if set(fib.labels) != set(nl.rows):
         raise ValueError("vector labels do not match the matrix rows")
-    inverse = nl.inverse_data()
-    kind = type(fib.value(nl.rows[0]))
-    out = {}
-    for j, col in enumerate(nl.cols):
-        out[col] = kind.linear_combination(
-            (inverse[j][i], fib.value(row)) for i, row in enumerate(nl.rows)
-        )
-    return InvariantVector(out)
+    return _apply(nl.inverse_data(), fib, nl.rows, nl.cols)
 
 
 def synthetic_k3_vectors(

@@ -351,7 +351,6 @@ class MnopReport:
     lhs: LaurentSeries
     rhs: LaurentSeries
     first_mismatch: tuple | None
-    work_order: int | None = None  # u-order of the substitution's two expansions
 
     def __bool__(self) -> bool:
         return self.equal
@@ -374,9 +373,7 @@ def mnop_check(
     fn = multiple_cover(label, grid, ledger)
     rhs = substitute_q_minus_exp(fn, u_order)
     mismatch = lhs.first_difference(rhs, u_order)
-    return MnopReport(
-        label, mismatch is None, lhs, rhs, mismatch, substitution_work_order(fn, u_order)
-    )
+    return MnopReport(label, mismatch is None, lhs, rhs, mismatch)
 
 
 def disconnected_partition(

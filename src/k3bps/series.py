@@ -15,17 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .scalars import as_fraction
+
 #: Admissible formal variable tags.  u carries genus expansions, q carries
 #: box-counting/Euler-characteristic expansions, t is free for generic use.
 VARIABLES = ("u", "q", "t")
-
-
-def _coerce_scalar(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
 class LaurentSeries:
@@ -42,7 +36,7 @@ class LaurentSeries:
     ) -> None:
         if variable not in VARIABLES:
             raise ValueError(f"unknown variable tag {variable!r}, expected one of {VARIABLES}")
-        coeffs = [_coerce_scalar(c) for c in coefficients]
+        coeffs = [as_fraction(c) for c in coefficients]
         if truncation_order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit truncation order")
@@ -147,7 +141,7 @@ class LaurentSeries:
 
     def rescaled(self, k) -> "LaurentSeries":
         """Substitute x -> k*x: the coefficient c_n becomes c_n * k**n, in the same window."""
-        k = _coerce_scalar(k)
+        k = as_fraction(k)
         coeffs = [c * k**n if c else c for n, c in self.items()]
         return LaurentSeries(self.variable, self.min_degree, coeffs, self.truncation_order)
 
@@ -165,7 +159,7 @@ class LaurentSeries:
         at the lowest among them.  If every weight is zero, the result is the
         zero series at the lowest truncation among all terms.
         """
-        terms = [(_coerce_scalar(w), series) for w, series in terms]
+        terms = [(as_fraction(w), series) for w, series in terms]
         if not terms:
             raise ValueError("a linear combination of series needs at least one term")
         first = terms[0][1]

@@ -20,6 +20,93 @@ graded = st.dictionaries(st.integers(min_value=1, max_value=4), q_entry(), min_s
 )
 
 
+def windowed_q_entry():
+    # valuations -1..1 and slack above the data, so truncation orders differ
+    return st.tuples(
+        st.integers(min_value=-1, max_value=1),
+        st.lists(rationals, min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=3),
+    ).map(lambda t: LaurentSeries("q", t[0], t[1], t[0] + len(t[1]) - 1 + t[2]))
+
+
+# q^S (1+q)^2, (1-(-q)^k)^2 and a few others, as in pairs sums
+DENOMINATORS = [(1,), (1, 1), (1, 2, 1), (0, 1, 2, 1), (1, 0, -2, 0, 1), (1, -1), (2, 0, 1)]
+
+
+def ratfn_entry():
+    return st.tuples(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3),
+        st.sampled_from(DENOMINATORS),
+    ).map(lambda nd: RationalFunction(*nd))
+
+
+def graded_of(entry):
+    return st.dictionaries(st.integers(min_value=1, max_value=4), entry, min_size=1).map(
+        lambda entries: GradedSeries(4, entries)
+    )
+
+
+# Reference: the same recurrences folded one term at a time into a running
+# total.  Arithmetic is exact and a sum's truncation is the lowest of its
+# terms', so each grade must equal GradedSeries' one linear_combination under
+# strict ==, truncation orders included.
+
+
+def fold_mul(a, b):
+    top = min(a.max_degree, b.max_degree)
+    out = {}
+
+    def _acc(grade, value):
+        if grade in out:
+            out[grade] = out[grade] + value
+        else:
+            out[grade] = value
+
+    for d1, v1 in a.entries.items():
+        for d2, v2 in b.entries.items():
+            if d1 + d2 <= top:
+                _acc(d1 + d2, v1 * v2)
+    if a.has_unit:
+        for d2, v2 in b.entries.items():
+            if d2 <= top:
+                _acc(d2, v2)
+    if b.has_unit:
+        for d1, v1 in a.entries.items():
+            if d1 <= top:
+                _acc(d1, v1)
+    return GradedSeries(top, out, has_unit=a.has_unit and b.has_unit)
+
+
+def fold_exp(series):
+    out = {}
+    for grade in range(1, series.max_degree + 1):
+        acc = series.entries.get(grade)
+        for j in range(1, grade):
+            g = series.entries.get(j)
+            f = out.get(grade - j)
+            if g is not None and f is not None:
+                term = (g * f) * Fraction(j, grade)
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            out[grade] = acc
+    return GradedSeries(series.max_degree, out, has_unit=True)
+
+
+def fold_log(series):
+    out = {}
+    for grade in range(1, series.max_degree + 1):
+        acc = series.entries.get(grade)
+        for j in range(1, grade):
+            g = out.get(j)
+            f = series.entries.get(grade - j)
+            if g is not None and f is not None:
+                term = (g * f) * Fraction(-j, grade)
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            out[grade] = acc
+    return GradedSeries(series.max_degree, out)
+
+
 def test_exp_of_single_grade_one_entry():
     x = LaurentSeries.monomial("q", 1, 1, 6)
     result = GradedSeries(3, {1: x}).exp()
@@ -122,3 +209,22 @@ def test_exp_log_on_laurent_entries_with_poles():
             assert recovered is None or recovered.is_zero
         else:
             assert recovered.agrees_with(original)
+
+
+def assert_graded_sums_equal_the_fold(a, b, unit_a, unit_b):
+    assert a.exp() == fold_exp(a)
+    with_unit = GradedSeries(b.max_degree, b.entries, has_unit=True)
+    assert with_unit.log() == fold_log(with_unit)
+    left = fold_exp(a) if unit_a else a
+    right = with_unit if unit_b else b
+    assert left * right == fold_mul(left, right)
+
+
+@given(graded_of(windowed_q_entry()), graded_of(windowed_q_entry()), st.booleans(), st.booleans())
+def test_laurent_graded_sums_equal_the_pairwise_fold(a, b, unit_a, unit_b):
+    assert_graded_sums_equal_the_fold(a, b, unit_a, unit_b)
+
+
+@given(graded_of(ratfn_entry()), graded_of(ratfn_entry()), st.booleans(), st.booleans())
+def test_rational_graded_sums_equal_the_pairwise_fold(a, b, unit_a, unit_b):
+    assert_graded_sums_equal_the_fold(a, b, unit_a, unit_b)
