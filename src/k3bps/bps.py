@@ -11,7 +11,7 @@ so only the d = 1 sine brackets are expanded.  They are integers over
 factorials: (2*sin(u/2))^(2m) from the central factorial numbers T(2n, 2m),
 and (2*sin(u/2))^-2 from the Bernoulli numbers, both tables grown once and
 shared by every u-order.  A grade is then one integer sum per coefficient
-over (2n)! * D, and one Fraction.  The relation is upper triangular with unit
+over (2n)! * D, reduced once.  The relation is upper triangular with unit
 diagonal (grade-by-grade over divisors, genus-by-genus within a grade), so it
 inverts exactly; the inverse need not produce integers for arbitrary rational
 input, and integrality is reported rather than assumed.
@@ -245,23 +245,24 @@ def _primitive_numerators(values: Mapping[int, object], u_order: int):
     return scale, lead, numerators
 
 
-def _grade_series(primitives: Mapping[int, tuple], d: int, ks: list[int], u_order: int):
+def _grade_pairs(primitives: Mapping[int, tuple], d: int, ks: list[int], u_order: int):
     """sum_(k in ks) (1/k) F_(d/k)(k*u), with F_e read from ``primitives`` (grade e
-    to the output of :func:`_primitive_numerators`).
+    to the output of :func:`_primitive_numerators`), as one (numerator,
+    denominator) integer pair per degree -2 .. u_order, or [] for zero.
 
     F_e(k*u)/k has u^(2n) coefficient numerators[n] k^(2n-1) / (scale * D_n);
     over the common denominator D_n * d * L, with L the lcm of the scales,
     every term is the integer numerators[n] * (L/scale) * k^(2n) * (d/k), so
-    each coefficient is one integer sum and one Fraction.  The u^-2 terms
-    lead/scale k^-3 sit over d^3 * L alike.
+    each coefficient is one integer sum.  The u^-2 terms lead/scale k^-3 sit
+    over d^3 * L alike.  The pairs are not reduced.
     """
     terms = [(k, primitives[d // k]) for k in ks if primitives.get(d // k)]
     if not terms or u_order < -2:
-        return LaurentSeries.zero("u", u_order)
+        return []
     common = lcm(*(scale for _, (scale, _, _) in terms))
     terms = [(k, (d // k) * common // scale, lead, nums) for k, (scale, lead, nums) in terms]
-    coeffs = [Fraction(0)] * (u_order + 3)
-    coeffs[0] = Fraction(sum(lead * w * (d // k) ** 2 for k, w, lead, _ in terms), d**3 * common)
+    pairs = [(0, 1)] * (u_order + 3)
+    pairs[0] = (sum(lead * w * (d // k) ** 2 for k, w, lead, _ in terms), d**3 * common)
     powers = [1] * len(terms)  # k^(2n)
     factorial_part = 2  # (2n+2)!
     for n in range(u_order // 2 + 1):
@@ -269,10 +270,19 @@ def _grade_series(primitives: Mapping[int, tuple], d: int, ks: list[int], u_orde
             factorial_part *= (2 * n + 1) * (2 * n + 2)
             powers = [p * k * k for p, (k, _, _, _) in zip(powers, terms)]
         total = sum(p * w * nums[n] for p, (_, w, _, nums) in zip(powers, terms))
-        coeffs[2 * n + 2] = Fraction(
-            total, factorial_part * bernoulli_abs(n + 1).denominator * d * common
-        )
-    return LaurentSeries("u", -2, coeffs, u_order)
+        pairs[2 * n + 2] = (total, factorial_part * bernoulli_abs(n + 1).denominator * d * common)
+    return pairs
+
+
+def _grade_series(primitives: Mapping[int, tuple], d: int, ks: list[int], u_order: int):
+    """The grade sum of :func:`_grade_pairs` as one series over the lcm of the pairs."""
+    pairs = _grade_pairs(primitives, d, ks, u_order)
+    if not pairs:
+        return LaurentSeries.zero("u", u_order)
+    common = lcm(*(den for _, den in pairs))
+    return LaurentSeries._from_integers(
+        "u", -2, [n * (common // den) for n, den in pairs], common, u_order
+    )
 
 
 def _by_grade(entries: Mapping[tuple[int, int], object], u_order: int, grades) -> dict:
@@ -287,11 +297,11 @@ def gw_grade_series(table: BpsTable, d: int, u_order: int) -> LaurentSeries:
     """Forward transform at a single grade: sum_{k | d} (1/k) F_{d/k}(k*u)."""
     ks = divisors(d)
     total = _grade_series(_by_grade(table.entries, u_order, {d // k for k in ks}), d, ks, u_order)
-    for deg, c in total.items():
+    for deg, c in enumerate(total._num, total.min_degree):
         if deg % 2 and c:
             raise ArithmeticError(
-                f"odd-degree coefficient {c} at u^{deg}: the sine brackets are even, "
-                "so this signals an internal arithmetic bug"
+                f"odd-degree coefficient {total.coefficient(deg)} at u^{deg}: the sine brackets "
+                "are even, so this signals an internal arithmetic bug"
             )
     return total
 
@@ -307,9 +317,9 @@ def gw_from_bps(table: BpsTable, d_max: int, u_order: int | None = None) -> GwPo
     primitives = _by_grade(table.entries, u_order, range(1, d_max + 1))
     entries: dict[tuple[int, int], Fraction] = {}
     for d in range(1, d_max + 1):
-        for degree, value in _grade_series(primitives, d, divisors(d), u_order).items():
-            if value:
-                entries[(degree + 2) // 2, d] = value
+        for k, (n, den) in enumerate(_grade_pairs(primitives, d, divisors(d), u_order)):
+            if n:
+                entries[k // 2, d] = Fraction(n, den)
     return GwPotential(entries, u_order)
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from time import perf_counter
 
 from .bps import BpsTable, divisors, gw_grade_series
@@ -286,7 +286,8 @@ def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     over an lcm.  The result starts at u^(zero - pole), with pole and zero the
     multiplicities of the root q = -1 of the denominator and the numerator,
     which the valuations of the two series must match.  No Laurent series
-    arithmetic is involved, and each output coefficient is one Fraction.
+    arithmetic is involved: the quotient's reduced pairs are put over their
+    lcm and passed to the series as integers.
     """
     if r.is_zero:
         raise ValueError("the zero function has an identically vanishing numerator")
@@ -305,9 +306,11 @@ def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
         raise ArithmeticError("substitution series valuation disagrees with root multiplicity")
     lowest = zero - pole
     count = (u_order - lowest) // 2 + 1 if u_order >= lowest else 0
-    coeffs: list = [0] * max(u_order - lowest + 1, 0)
-    for k, (n, d) in enumerate(_long_division(a[va:], b[vb:], count)):
-        coeffs[2 * k] = Fraction(n, d)
+    quotient = _long_division(a[va:], b[vb:], count)
+    common = lcm(*(d for _, d in quotient))
+    coeffs = [0] * max(u_order - lowest + 1, 0)
+    for k, (n, d) in enumerate(quotient):
+        coeffs[2 * k] = n * (common // d)
     log.debug(
         "substitute_q_minus_exp pole=%d zero=%d work=%d in %.3f s",
         pole,
@@ -317,7 +320,7 @@ def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     )
     if not count:
         return LaurentSeries.zero("u", u_order)
-    return LaurentSeries("u", lowest, coeffs, u_order)
+    return LaurentSeries._from_integers("u", lowest, coeffs, common, u_order)
 
 
 def bps_table_from_grid(grid: KkvBpsGrid, d_max: int, h: int) -> BpsTable:

@@ -36,7 +36,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .scalars import as_fraction
-from .series import LaurentSeries
+from .series import LaurentSeries, _exact
 
 Poly = tuple
 
@@ -302,12 +302,12 @@ class RationalFunction:
     def linear_combination(cls, terms: Iterable[tuple]) -> "RationalFunction":
         """The sum of weight * fn over (weight, fn) pairs, reduced once.
 
-        Weights are int or Fraction.  The terms are put over the lcm of the
-        distinct denominators (no work when they are all equal) times the lcm
-        of the weights' denominators, their integer numerators are added in
-        one pass, and only the total is canonicalized.
+        Weights are int or Fraction; an int is used as it is.  The terms are
+        put over the lcm of the distinct denominators (no work when they are
+        all equal) times the lcm of the weights' denominators, their integer
+        numerators are added in one pass, and only the total is canonicalized.
         """
-        parts = [(as_fraction(w), fn) for w, fn in terms if w and not fn.is_zero]
+        parts = [(_exact(w), fn) for w, fn in terms if w and not fn.is_zero]
         if not parts:
             return cls.zero()
         if len(parts) == 1:

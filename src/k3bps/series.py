@@ -6,13 +6,21 @@ not zero: every arithmetic operation propagates the truncation pessimistically
 and asking for a coefficient beyond it raises, so precision loss is never
 silent.  Coefficients below ``min_degree`` are exactly zero.
 
-Coefficients are :class:`fractions.Fraction` (ints are coerced), never floats.
-Sums and scalar multiples all go through :meth:`LaurentSeries.linear_combination`.
+The window is one tuple of integer numerators over one positive integer
+denominator, in canonical form (``gcd(den, *num) == 1``, leading zeros
+stripped so ``min_degree`` is the valuation, zero as ``(0,)`` over 1), so
+equal series have equal fields.  Sums and scalar multiples all go through
+:meth:`LaurentSeries.linear_combination` (one lcm, one reduction), and a
+product is one integer convolution, reduced once.  Coefficients read back as
+:class:`fractions.Fraction`, never floats.  :meth:`LaurentSeries.inverse`
+alone runs per coefficient: its recurrence over a common denominator would
+grow with every step, while reduced Fractions stay small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .scalars import as_fraction
@@ -22,10 +30,15 @@ from .scalars import as_fraction
 VARIABLES = ("u", "q", "t")
 
 
+def _exact(value):
+    """An int as it is, or a Fraction; anything else raises TypeError."""
+    return value if isinstance(value, int) else as_fraction(value)
+
+
 class LaurentSeries:
     """A truncated Laurent series ``sum(c_k * x**k for min_degree <= k <= truncation_order)``."""
 
-    __slots__ = ("variable", "min_degree", "coefficients", "truncation_order")
+    __slots__ = ("variable", "min_degree", "truncation_order", "_num", "_den")
 
     def __init__(
         self,
@@ -34,31 +47,42 @@ class LaurentSeries:
         coefficients: Sequence,
         truncation_order: int | None = None,
     ) -> None:
+        coeffs = [_exact(c) for c in coefficients]
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        if truncation_order is None:
+            if not num:
+                raise ValueError("empty coefficient list needs an explicit truncation order")
+            truncation_order = min_degree + len(num) - 1
+        self._fill(variable, min_degree, num, den, truncation_order)
+
+    @classmethod
+    def _from_integers(cls, variable, min_degree, num, den, truncation_order) -> "LaurentSeries":
+        """The series sum(num[k] / den * x**(min_degree + k)), brought to canonical form."""
+        series = object.__new__(cls)
+        series._fill(variable, min_degree, num, den, truncation_order)
+        return series
+
+    def _fill(self, variable, min_degree, num, den, truncation_order) -> None:
         if variable not in VARIABLES:
             raise ValueError(f"unknown variable tag {variable!r}, expected one of {VARIABLES}")
-        coeffs = [as_fraction(c) for c in coefficients]
-        if truncation_order is None:
-            if not coeffs:
-                raise ValueError("empty coefficient list needs an explicit truncation order")
-            truncation_order = min_degree + len(coeffs) - 1
         width = truncation_order - min_degree + 1
         if width < 1:
             raise ValueError("truncation order below min_degree")
-        if len(coeffs) > width:
+        if len(num) > width:
             raise ValueError("more coefficients than the truncation window holds")
-        coeffs.extend([Fraction(0)] * (width - len(coeffs)))
-        # Canonical form: strip leading zeros so min_degree is the valuation
-        # (the zero series keeps a single zero at the truncation order).
-        start = 0
-        while start < len(coeffs) - 1 and not coeffs[start]:
-            start += 1
-        if start:
-            coeffs = coeffs[start:]
+        start = next((k for k, c in enumerate(num) if c), None)
+        if start is None:
+            min_degree, num, den = truncation_order, (0,), 1
+        else:
+            num = tuple(num[start:]) + (0,) * (width - len(num))
             min_degree += start
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "min_degree", min_degree)
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-        object.__setattr__(self, "truncation_order", truncation_order)
+            g = gcd(den, *num) * (-1 if den < 0 else 1)
+            if g != 1:
+                num = tuple(c // g for c in num)
+                den //= g
+        for name, value in zip(self.__slots__, (variable, min_degree, truncation_order, num, den)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentSeries is immutable")
@@ -67,7 +91,7 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, variable: str, truncation_order: int) -> "LaurentSeries":
-        return cls(variable, truncation_order, [Fraction(0)], truncation_order)
+        return cls._from_integers(variable, truncation_order, [0], 1, truncation_order)
 
     @classmethod
     def one(cls, variable: str, truncation_order: int) -> "LaurentSeries":
@@ -85,14 +109,16 @@ class LaurentSeries:
 
     @property
     def is_zero(self) -> bool:
-        return all(not c for c in self.coefficients)
+        return not self._num[0]
 
     def valuation(self) -> int | None:
         """Degree of the lowest nonzero known coefficient, or None for zero."""
-        for k, c in enumerate(self.coefficients):
-            if c:
-                return self.min_degree + k
-        return None
+        return self.min_degree if self._num[0] else None
+
+    @property
+    def coefficients(self) -> tuple:
+        """The window's coefficients as Fractions, from ``min_degree`` up."""
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     def coefficient(self, degree: int):
         """The coefficient of ``x**degree``; raises beyond the truncation order."""
@@ -103,12 +129,11 @@ class LaurentSeries:
             )
         if degree < self.min_degree:
             return Fraction(0)
-        return self.coefficients[degree - self.min_degree]
+        return Fraction(self._num[degree - self.min_degree], self._den)
 
     def items(self) -> Iterable[tuple[int, object]]:
         """(degree, coefficient) pairs over the stored window."""
-        for k, c in enumerate(self.coefficients):
-            yield self.min_degree + k, c
+        return enumerate(self.coefficients, self.min_degree)
 
     # -- helpers --------------------------------------------------------------
 
@@ -126,24 +151,31 @@ class LaurentSeries:
         if truncation_order < self.min_degree:
             return LaurentSeries.zero(self.variable, truncation_order)
         keep = truncation_order - self.min_degree + 1
-        return LaurentSeries(
-            self.variable, self.min_degree, self.coefficients[:keep], truncation_order
+        return LaurentSeries._from_integers(
+            self.variable, self.min_degree, self._num[:keep], self._den, truncation_order
         )
 
     def shifted(self, degrees: int) -> "LaurentSeries":
         """Multiply by ``x**degrees``."""
-        return LaurentSeries(
+        return LaurentSeries._from_integers(
             self.variable,
             self.min_degree + degrees,
-            self.coefficients,
+            self._num,
+            self._den,
             self.truncation_order + degrees,
         )
 
     def rescaled(self, k) -> "LaurentSeries":
-        """Substitute x -> k*x: the coefficient c_n becomes c_n * k**n, in the same window."""
-        k = as_fraction(k)
-        coeffs = [c * k**n if c else c for n, c in self.items()]
-        return LaurentSeries(self.variable, self.min_degree, coeffs, self.truncation_order)
+        """Substitute x -> k*x: the coefficient c_n becomes c_n * k**n, in the same window.
+
+        With k = p/r over the window m..T, c_n k^n = (p/r)^m c_n p^(n-m) r^(T-n) / r^(T-m)."""
+        p, r = as_fraction(k).as_integer_ratio()
+        lo, width = self.min_degree, self.truncation_order - self.min_degree
+        scale = Fraction(p, r) ** lo / r**width
+        num = [c * p**n * r ** (width - n) * scale.numerator for n, c in enumerate(self._num)]
+        return LaurentSeries._from_integers(
+            self.variable, lo, num, self._den * scale.denominator, self.truncation_order
+        )
 
     # -- ring operations ------------------------------------------------------
 
@@ -157,9 +189,10 @@ class LaurentSeries:
         Weights are int or Fraction.  A term of weight zero is dropped, as zero
         times a truncated series is exactly zero; the others fix the truncation
         at the lowest among them.  If every weight is zero, the result is the
-        zero series at the lowest truncation among all terms.
+        zero series at the lowest truncation among all terms.  The sum is one
+        integer sum over the lcm of the terms' denominators, reduced once.
         """
-        terms = [(as_fraction(w), series) for w, series in terms]
+        terms = [(_exact(w), series) for w, series in terms]
         if not terms:
             raise ValueError("a linear combination of series needs at least one term")
         first = terms[0][1]
@@ -168,13 +201,15 @@ class LaurentSeries:
         parts = [(w, series) for w, series in terms if w] or terms
         order = min(series.truncation_order for _, series in parts)
         lo = min(min(series.min_degree for _, series in parts), order)
-        out = [Fraction(0)] * (order - lo + 1)
+        den = lcm(*(w.denominator * series._den for w, series in parts))
+        out = [0] * (order - lo + 1)
         for weight, series in parts:
+            factor = weight.numerator * (den // (weight.denominator * series._den))
             base = series.min_degree - lo
-            for k, c in enumerate(series.coefficients[: max(order - lo - base + 1, 0)]):
+            for k, c in enumerate(series._num[: max(order - lo - base + 1, 0)], base):
                 if c:
-                    out[base + k] += weight * c
-        return cls(first.variable, lo, out, order)
+                    out[k] += factor * c
+        return cls._from_integers(first.variable, lo, out, den, order)
 
     def _plus(self, other, weight: int):
         if isinstance(other, (int, Fraction)):
@@ -209,17 +244,17 @@ class LaurentSeries:
         width = order - lo + 1
         if width < 1:
             return LaurentSeries.zero(self.variable, order)
-        out = [Fraction(0)] * width
-        for i, a in enumerate(self.coefficients):
-            if not a:
-                continue
-            base = self.min_degree + i + other.min_degree - lo
-            top = min(len(other.coefficients), width - base)
-            for j in range(top):
-                b = other.coefficients[j]
-                if b:
-                    out[base + j] = out[base + j] + a * b
-        return LaurentSeries(self.variable, lo, out, order)
+        out = [0] * width
+        right = [(j, b) for j, b in enumerate(other._num[:width]) if b]
+        for i, a in enumerate(self._num[:width]):
+            if a:
+                for j, b in right:
+                    if i + j >= width:
+                        break
+                    out[i + j] += a * b
+        return LaurentSeries._from_integers(
+            self.variable, lo, out, self._den * other._den, order
+        )
 
     __rmul__ = __mul__
 
@@ -227,32 +262,22 @@ class LaurentSeries:
         """Multiplicative inverse to the propagated truncation order.
 
         A series of valuation m inverts to one of valuation -m, known to
-        order ``truncation_order - 2*m``.
+        order ``truncation_order - 2*m``, by a recurrence on reduced Fractions.
         """
         val = self.valuation()
         if val is None:
             raise ZeroDivisionError("cannot invert an identically-zero series")
         order = self.truncation_order - 2 * val
-        rel = self.truncation_order - val  # relative precision of the unit part
-        lead = self.coefficients[val - self.min_degree]
-        lead_inv = 1 / lead
-        # Unit part a_0 + a_1 x + ... with a_0 = lead; invert by the usual recurrence.
-        a = [self.coefficient(val + k) for k in range(rel + 1)]
-        b = [lead_inv] + [Fraction(0)] * rel
-        for n in range(1, rel + 1):
+        a = self.coefficients  # the unit part a_0 + a_1 x + ..., a_0 the leading term
+        lead_inv = 1 / a[0]
+        b = [lead_inv] + [Fraction(0)] * (len(a) - 1)
+        for n in range(1, len(a)):
             acc = Fraction(0)
             for k in range(1, n + 1):
                 if a[k]:
                     acc += a[k] * b[n - k]
             b[n] = -lead_inv * acc
         return LaurentSeries(self.variable, -val, b, order)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        if isinstance(other, LaurentSeries):
-            return self * other.inverse()
-        return NotImplemented
 
     def __pow__(self, exponent: int) -> "LaurentSeries":
         if not isinstance(exponent, int):
@@ -266,44 +291,6 @@ class LaurentSeries:
             result = result * self
         return result
 
-    # -- exp / log ------------------------------------------------------------
-
-    def exp(self) -> "LaurentSeries":
-        """Exponential of a series whose terms of degree <= 0 all vanish."""
-        val = self.valuation()
-        if val is not None and val <= 0:
-            raise ValueError("series exp needs the constant-and-below part to vanish")
-        order = self.truncation_order
-        if order < 0:
-            raise ValueError("series exp needs a nonnegative truncation order")
-        a = [self.coefficient(k) if k >= self.min_degree else Fraction(0) for k in range(order + 1)]
-        f = [Fraction(0)] * (order + 1)
-        f[0] = Fraction(1)
-        # n*f_n = sum_{k=1..n} k*a_k*f_{n-k}
-        for n in range(1, order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if a[k]:
-                    acc += k * a[k] * f[n - k]
-            f[n] = acc / n
-        return LaurentSeries(self.variable, 0, f, order)
-
-    def log(self) -> "LaurentSeries":
-        """Logarithm of a series with constant term 1 and nothing below."""
-        if self.min_degree < 0 or self.coefficient(0) != 1:
-            raise ValueError("series log needs constant term exactly 1")
-        order = self.truncation_order
-        a = [self.coefficient(k) for k in range(order + 1)]
-        g = [Fraction(0)] * (order + 1)
-        # n*g_n = n*a_n - sum_{k=1..n-1} k*g_k*a_{n-k}
-        for n in range(1, order + 1):
-            acc = n * a[n]
-            for k in range(1, n):
-                if g[k] and a[n - k]:
-                    acc -= k * g[k] * a[n - k]
-            g[n] = acc / n
-        return LaurentSeries(self.variable, 0, g, order)
-
     # -- comparison / display ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -313,18 +300,37 @@ class LaurentSeries:
             self.variable == other.variable
             and self.min_degree == other.min_degree
             and self.truncation_order == other.truncation_order
-            and self.coefficients == other.coefficients
+            and self._num == other._num
+            and self._den == other._den
         )
 
     def __hash__(self) -> int:
-        return hash((self.variable, self.min_degree, self.coefficients, self.truncation_order))
+        return hash((self.variable, self.min_degree, self.truncation_order, self._num, self._den))
 
     def first_difference(self, other: "LaurentSeries", through: int) -> tuple | None:
-        """Lowest ``(degree, a, b)`` up to ``through`` with a != b, or None."""
+        """Lowest ``(degree, a, b)`` up to ``through`` with a != b, or None.
+
+        Raises, as :meth:`coefficient` does, when the search passes a
+        truncation order before it finds a difference."""
         self._check_same_variable(other)
-        for degree in range(min(self.min_degree, other.min_degree), through + 1):
-            if self.coefficient(degree) != other.coefficient(degree):
-                return degree, self.coefficient(degree), other.coefficient(degree)
+        lo = min(self.min_degree, other.min_degree)
+        top = min(through, self.truncation_order, other.truncation_order)
+        width = max(top - lo + 1, 0)
+        da, db = self._den, other._den
+        if self.min_degree == other.min_degree and da == db:
+            a, b = self._num[:width], other._num[:width]
+        else:
+            # a_n / da != b_n / db  iff  a_n * db != b_n * da, windows aligned at lo
+            g = gcd(da, db)
+            a = [x * (db // g) for x in ((0,) * (self.min_degree - lo) + self._num)[:width]]
+            b = [y * (da // g) for y in ((0,) * (other.min_degree - lo) + other._num)[:width]]
+        if a != b:
+            degree = lo + next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+            return degree, self.coefficient(degree), other.coefficient(degree)
+        if top < through:
+            # no difference up to the lower truncation: reading on must raise
+            self.coefficient(top + 1)
+            other.coefficient(top + 1)
         return None
 
     def agrees_with(self, other: "LaurentSeries", through: int | None = None) -> bool:

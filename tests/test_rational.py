@@ -310,3 +310,13 @@ def test_canonical_form_matches_sympy_cancel(num, den):
     if expected[0] == (0,):
         expected = ((), expected[1])
     assert _structure(RationalFunction(num, den)) == expected
+
+
+def test_linear_combination_takes_int_weights_as_they_are_and_rejects_floats():
+    terms = [(3, FOOTNOTE), (-2, ONE_OVER_1PQ)]
+    as_fractions = [(Fraction(w), fn) for w, fn in terms]
+    total = RationalFunction.linear_combination(terms)
+    assert _structure(total) == _structure(RationalFunction.linear_combination(as_fractions))
+    assert _structure(total) == _structure(_eager_fold(terms))
+    with pytest.raises(TypeError, match="float"):
+        RationalFunction.linear_combination([(1, FOOTNOTE), (0.5, ONE_OVER_1PQ)])

@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from k3bps import GaussianRational, LaurentSeries
@@ -110,36 +110,6 @@ def test_inverse_truncation_window():
     assert a.inverse().truncation_order == 6
 
 
-def test_exp_of_zero_is_one():
-    assert LaurentSeries.zero("q", 5).exp() == LaurentSeries.one("q", 5)
-
-
-def test_exp_rejects_constant_term():
-    with pytest.raises(ValueError, match="constant-and-below"):
-        LaurentSeries("q", 0, [1, 1], 4).exp()
-    with pytest.raises(ValueError, match="constant-and-below"):
-        LaurentSeries("u", -1, [1], 4).exp()
-
-
-def test_exp_matches_taylor_coefficients():
-    q = LaurentSeries.monomial("q", 1, 1, 6)
-    e = q.exp()
-    for n in range(7):
-        assert e.coefficient(n) == Fraction(1, factorial(n))
-
-
-def test_log_rejects_wrong_constant_term():
-    with pytest.raises(ValueError, match="constant term exactly 1"):
-        LaurentSeries("q", 0, [2, 1], 4).log()
-
-
-def test_log_of_geometric_series():
-    # log(1/(1-q)) = sum q^n / n
-    series = geometric(7).log()
-    for n in range(1, 8):
-        assert series.coefficient(n) == Fraction(1, n)
-
-
 @given(q_series(), q_series(), q_series())
 def test_ring_axioms(a, b, c):
     assert ((a + b) + c).agrees_with(a + (b + c))
@@ -157,11 +127,6 @@ def test_inverse_is_two_sided(a):
     for product in (left, right):
         for degree in range(product.min_degree, product.truncation_order + 1):
             assert product.coefficient(degree) == (1 if degree == 0 else 0)
-
-
-@given(q_series(min_degree=1, order=7))
-def test_exp_log_roundtrip(a):
-    assert a.exp().log().agrees_with(a)
 
 
 @given(q_series())
@@ -226,3 +191,149 @@ def test_rescaled_composes_and_scales_each_coefficient(a, j, k):
     assert (b.min_degree, b.truncation_order) == (a.min_degree, a.truncation_order)
     for n in range(a.min_degree, a.truncation_order + 1):
         assert b.coefficient(n) == a.coefficient(n) * Fraction(k) ** n
+
+
+def test_linear_combination_rejects_float_weights():
+    with pytest.raises(TypeError, match="float"):
+        LaurentSeries.linear_combination([(1, geometric(3)), (0.5, geometric(3))])
+
+
+# The Fraction-list arithmetic that LaurentSeries used before it stored integer
+# numerators over one denominator, kept as an oracle for the integer paths.
+
+
+def oracle_linear_combination(terms):
+    terms = [(Fraction(w), s) for w, s in terms]
+    parts = [(w, s) for w, s in terms if w] or terms
+    order = min(s.truncation_order for _, s in parts)
+    lo = min(min(s.min_degree for _, s in parts), order)
+    out = [Fraction(0)] * (order - lo + 1)
+    for weight, s in parts:
+        base = s.min_degree - lo
+        for k, c in enumerate(s.coefficients[: max(order - lo - base + 1, 0)]):
+            if c:
+                out[base + k] += weight * c
+    return LaurentSeries(terms[0][1].variable, lo, out, order)
+
+
+def oracle_mul(a, b):
+    order = min(a.truncation_order + b.min_degree, b.truncation_order + a.min_degree)
+    lo = a.min_degree + b.min_degree
+    width = order - lo + 1
+    if width < 1:
+        return LaurentSeries.zero(a.variable, order)
+    out = [Fraction(0)] * width
+    for i, x in enumerate(a.coefficients):
+        top = min(len(b.coefficients), width - i)
+        for j in range(top):
+            out[i + j] += x * b.coefficients[j]
+    return LaurentSeries(a.variable, lo, out, order)
+
+
+def oracle_rescaled(a, k):
+    k = Fraction(k)
+    return LaurentSeries(
+        a.variable, a.min_degree, [c * k**n for n, c in a.items()], a.truncation_order
+    )
+
+
+def oracle_first_difference(a, b, through):
+    for degree in range(min(a.min_degree, b.min_degree), through + 1):
+        if a.coefficient(degree) != b.coefficient(degree):
+            return degree, a.coefficient(degree), b.coefficient(degree)
+    return None
+
+
+def assert_canonical(s):
+    num, den = s._num, s._den
+    assert den > 0 and gcd(den, *num) == 1
+    assert len(num) == s.truncation_order - s.min_degree + 1
+    if not num[0]:
+        assert (num, den, s.min_degree) == ((0,), 1, s.truncation_order)
+    assert s.coefficients == tuple(Fraction(c, den) for c in num)
+
+
+# Coefficients over factorial denominators, as in the genus expansions, next to
+# small rationals and zeros.
+wide = st.builds(
+    Fraction,
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([factorial(2 * n) for n in range(1, 12)]),
+)
+mixed = st.one_of(st.just(Fraction(0)), rationals, wide)
+
+
+@st.composite
+def wide_series(draw):
+    lo = draw(st.integers(-3, 3))
+    order = draw(st.integers(lo, lo + 10))
+    coeffs = draw(st.lists(mixed, min_size=1, max_size=order - lo + 1))
+    return LaurentSeries("u", lo, coeffs, order)
+
+
+@given(st.lists(st.tuples(weights | wide, wide_series()), min_size=1, max_size=5))
+@example([(0, LaurentSeries("u", 0, [1, 2], 3)), (0, LaurentSeries("u", -1, [0, 1], 1))])
+@example([(1, LaurentSeries("u", 0, [Fraction(1, 2), 1], 2)), (-1, LaurentSeries("u", 0, [1], 2))])
+def test_linear_combination_matches_fraction_oracle(terms):
+    total = LaurentSeries.linear_combination(terms)
+    assert total == oracle_linear_combination(terms)
+    assert_canonical(total)
+
+
+@given(wide_series(), wide_series())
+@example(LaurentSeries("u", 0, [Fraction(1, 2)], 2), LaurentSeries("u", 0, [2], 2))
+@example(LaurentSeries("u", 0, [Fraction(1, 6)], 2), LaurentSeries("u", -2, [0, 0, 3], 2))
+def test_product_matches_fraction_oracle(a, b):
+    product = a * b
+    assert product == oracle_mul(a, b) == b * a
+    assert_canonical(product)
+
+
+@given(wide_series(), nonzero_scales | wide.filter(bool))
+def test_rescaled_matches_fraction_oracle(a, k):
+    b = a.rescaled(k)
+    assert b == oracle_rescaled(a, k)
+    assert_canonical(b)
+
+
+@given(wide_series(), st.integers(-3, 3), st.integers(-50, 50).filter(bool))
+@example(LaurentSeries("u", 0, [Fraction(1, 2), 1], 1), 0, -1)
+@example(LaurentSeries("u", 0, [Fraction(1, 2), 1], 1), 0, 6)
+def test_integer_constructor_reaches_the_fraction_canonical_form(a, shift, k):
+    """The same series given as scaled, unreduced integers (k < 0 gives a
+    negative denominator), padded with leading zeros, equals and hashes as
+    the one built from Fractions."""
+    den = lcm(*(c.denominator for c in a.coefficients))
+    lead = max(shift, 0)
+    num = [0] * lead + [int(c * den) * k for c in a.coefficients]
+    built = LaurentSeries._from_integers(
+        a.variable, a.min_degree - lead, num, den * k, a.truncation_order
+    )
+    assert built == a and hash(built) == hash(a)
+    assert_canonical(built)
+    assert_canonical(a)
+
+
+@given(wide_series(), wide_series(), st.integers(-4, 14))
+@example(LaurentSeries("u", 0, [1, 2, 3], 3), LaurentSeries("u", 0, [1, 2, 3, 4], 3), 2)
+@example(LaurentSeries("u", 0, [1, 2, 3], 3), LaurentSeries("u", 0, [1, 2, 3, 4], 3), 3)
+@example(LaurentSeries("u", 0, [1, 2, 3], 2), LaurentSeries("u", 0, [1, 2, 3, 4], 3), 3)
+def test_first_difference_matches_fraction_oracle(a, b, through):
+    try:
+        expected = oracle_first_difference(a, b, through)
+    except ValueError as error:
+        with pytest.raises(ValueError, match="beyond the truncation") as raised:
+            a.first_difference(b, through)
+        assert str(raised.value) == str(error)
+        return
+    assert a.first_difference(b, through) == expected
+
+
+def test_first_difference_stops_at_through():
+    a = LaurentSeries("q", 0, [1, 2, 3, 4], 3)
+    b = LaurentSeries("q", 0, [1, 2, 3, 5], 3)
+    assert a.first_difference(b, 2) is None
+    assert a.agrees_with(b, 2) and not a.agrees_with(b)
+    assert a.first_difference(b, 3) == (3, 4, 5)
+    with pytest.raises(ValueError, match="beyond the truncation"):
+        a.first_difference(a, 4)
