@@ -6,8 +6,9 @@ yau-zaslow, gw, pairs only), pretty.
 Exit codes: 0 success, 1 identity/assertion failure, 2 usage error.
 A request whose KKV grid column or divisibility (gw and check --dmax, pairs
 and mnop-check --d) exceeds MAX_GRID_COLUMN, whose nl-demo --mmax exceeds
-MAX_NL_DIVISIBILITY, or whose --umax exceeds MAX_U_ORDER, is refused with
-exit 2 before any grid is built.
+MAX_NL_DIVISIBILITY, whose --umax exceeds MAX_U_ORDER, or whose yau-zaslow
+--hmax exceeds MAX_YAU_ZASLOW_ORDER, is refused with exit 2 before any grid
+or series is built.
 The KKV_LOG environment variable (debug/info/warning) controls verbosity.
 """
 
@@ -53,15 +54,19 @@ EXIT_USAGE = 2
 
 # Highest KKV grid column and highest divisibility a command may ask for, and
 # highest --umax (the u-order `gw` reaches at column 200).  The grid costs
-# 0.21 s at column 200; the binding costs are elsewhere (2-core Intel Xeon,
-# CPython 3.11): `check --dmax 200 --hmax 1` 28 s, `check --umax 402` 3.9 s,
-# `gw --h 1 --dmax 200 --umax 402` 3.7 s, `mnop-check --d 14 --h 2 --umax
-# 402` 1.4 s, `pairs --d 200 --h 1` 1.7 s.
+# about 0.2 s at column 200; the binding costs are elsewhere (2-core Intel
+# Xeon, CPython 3.11): `check --dmax 200 --hmax 1` 21 s, `check --umax 402`
+# 2.8 s, `gw --h 1 --dmax 200 --umax 402` 3.3 s, `mnop-check --d 14 --h 2
+# --umax 402` 0.6 s, `pairs --d 200 --h 1` 1.3 s.
 MAX_GRID_COLUMN = 200
 MAX_U_ORDER = 2 * MAX_GRID_COLUMN + 2
+# Highest yau-zaslow --hmax.  The series needs no grid; its cost is the
+# divisor-sum recurrence, quadratic in --hmax on coefficients of up to 1200
+# bits: `yau-zaslow --hmax 5000` takes about 2 s on the same host.
+MAX_YAU_ZASLOW_ORDER = 5000
 # Highest nl-demo --mmax.  At --hmax <= 1 no grid column bounds it, while the
 # NL matrix spans every m <= --mmax and its rational pairs sums grow with it:
-# `nl-demo --mmax 20 --hmax 1` takes 21 s on the same host, nearly all in the
+# `nl-demo --mmax 20 --hmax 1` takes 14 s on the same host, nearly all in the
 # integer remainder-sequence gcd of RationalFunction.linear_combination.
 MAX_NL_DIVISIBILITY = 20
 
@@ -166,7 +171,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_yau_zaslow(args) -> int:
-    _require(args.hmax >= 0, "--hmax must be >= 0")
+    _require(
+        0 <= args.hmax <= MAX_YAU_ZASLOW_ORDER,
+        f"--hmax must be an integer from 0 to {MAX_YAU_ZASLOW_ORDER}",
+    )
     series = yau_zaslow_series(args.hmax)
     if args.format == "json":
         _emit_json(args, series_to_jsonable(series))

@@ -16,9 +16,13 @@ product gives
 with S_m = sum_{|j| <= m} z^j, whose lambda-coefficients are the integers
 C(m+k+1, 2k+1) + C(m+k, 2k+1), k = 0..m.  So the KKV product is
 prod (1 - q^n)^(-18) / D^2, and :func:`bps_grid_from_kkv` divides the integer
-Euler power twice by the lacunary series D, with one list of integer
-lambda-coefficients per power of q; no Laurent polynomial, fraction or
-elimination is involved.
+Euler power twice by the lacunary series D.  Each power of q is one integer,
+its lambda-polynomial evaluated at lambda = 2^W, so the division is a few
+shifts and small multiples of big integers per term of D; W comes from an l1
+majorant of the coefficients, and the integers are cut into their
+lambda-coefficients once at the end.  The Euler powers come from the
+divisor-sum recurrence n p_n = a sum_k sigma(k) p_(n-k).  No Laurent
+polynomial, fraction or elimination is involved.
 
 The z-expansion is kept as an independent oracle.  :func:`kkv_product`
 expands the same product as one symmetric Laurent polynomial in z per q^h,
@@ -35,6 +39,7 @@ import logging
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 from time import perf_counter
 
 from .series import LaurentSeries
@@ -44,22 +49,25 @@ log = logging.getLogger("k3bps")
 
 
 def _euler_power_coefficients(q_order: int, exponent: int) -> list[int]:
-    """Integer coefficients of prod_{n>=1} (1 - q^n)^(-exponent) up to q^q_order.
+    """Integer coefficients p_n of prod_{n>=1} (1 - q^n)^(-exponent) up to q^q_order.
 
-    The factor at n only contributes from q^n on, so the product over
-    n <= q_order is exact to this order.
+    The logarithmic derivative of the product is exponent * sum_k sigma(k) q^k
+    (sigma the divisor sum), which gives the recurrence
+
+        n * p_n = exponent * sum_{k=1..n} sigma(k) * p_(n-k);
+
+    each division by n is checked to be exact.
     """
-    out = [0] * (q_order + 1)
-    out[0] = 1
+    sigma = [0] * (q_order + 1)
+    for d in range(1, q_order + 1):
+        for multiple in range(d, q_order + 1, d):
+            sigma[multiple] += d
+    out = [1]
     for n in range(1, q_order + 1):
-        for h in range(q_order, n - 1, -1):
-            acc = out[h]
-            j, base = 1, h - n
-            while base >= 0:
-                acc += comb(j + exponent - 1, exponent - 1) * out[base]
-                j += 1
-                base -= n
-            out[h] = acc
+        p, rest = divmod(exponent * sum(map(mul, sigma[1 : n + 1], reversed(out))), n)
+        if rest:
+            raise ArithmeticError(f"q^{n} coefficient of the Euler power is not an integer")
+        out.append(p)
     return out
 
 
@@ -244,23 +252,77 @@ def _theta_coefficients(m: int) -> list[int]:
     return [comb(m + k + 1, 2 * k + 1) + comb(m + k, 2 * k + 1) for k in range(m + 1)]
 
 
+def _signed_thetas(h_max: int) -> list[tuple[int, list[int]]]:
+    """(T_m, lambda-coefficients of (-1)^m S_m(-lambda) from the top degree down)
+    for every m >= 1 with T_m = m(m+1)/2 <= h_max."""
+    out = []
+    m = 1
+    while m * (m + 1) // 2 <= h_max:
+        signed = [(-1) ** (m + k) * s for k, s in enumerate(_theta_coefficients(m))]
+        out.append((m * (m + 1) // 2, signed[::-1]))
+        m += 1
+    return out
+
+
+def _slot_width(euler: list[int], thetas: list[tuple[int, list[int]]]) -> int:
+    """Bits per packed lambda-coefficient: enough for every coefficient of every column.
+
+    The division recurrence of :func:`bps_grid_from_kkv` run on l1 norms,
+    M_h += sum_m ||theta_m||_1 * M_(h - T_m) from M_h = |E_h|, bounds the l1
+    norm, hence every coefficient, of column h after each pass.  Two bits
+    more than the largest M_h leave a signed coefficient room in its slot;
+    the width is rounded up to whole bytes for the unpack.
+    """
+    norms = [abs(e) for e in euler]
+    weights = [(t, sum(map(abs, theta))) for t, theta in thetas]
+    for _ in range(2):
+        for h in range(1, len(norms)):
+            norms[h] += sum(w * norms[h - t] for t, w in weights if t <= h)
+    bits = max(norms).bit_length() + 2
+    return -(-bits // 8) * 8
+
+
+def _unpack(packed: int, slots: int, width: int) -> tuple[int, ...]:
+    """The signed base-2^width digits c_0..c_(slots-1) of packed = sum_g c_g 2^(width*g).
+
+    A bias of 2^(width-1) per slot makes every digit non-negative, so one
+    byte string holds them all.  Bits left past the last slot, or a negative
+    biased value, mean some coefficient did not fit its slot.
+    """
+    size = width // 8
+    half = 1 << (width - 1)
+    biased = packed + int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    if biased < 0 or biased >> (width * slots):
+        raise ArithmeticError(f"a lambda-coefficient does not fit its {width}-bit slot")
+    data = biased.to_bytes(size * slots, "little")
+    return tuple(
+        int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)
+    )
+
+
 def bps_grid_from_kkv(h_max: int) -> KkvBpsGrid:
     """Extract n_{g,h} for h <= h_max from the KKV product, expanded in lambda.
 
     By Jacobi's triple product the KKV product is prod (1 - q^n)^(-18) / D^2
-    with D = sum_{m >= 0} (-1)^m q^(T_m) S_m(lambda), T_m = m(m+1)/2.  Column
-    h holds the integer lambda-coefficients of q^h.  The columns start as the
-    Euler power prod (1 - q^n)^(-18) and are divided by D twice in place,
-    going up in h:
+    with D = sum_{m >= 0} (-1)^m q^(T_m) S_m(lambda), T_m = m(m+1)/2.
+    Replacing lambda by -lambda makes the lambda^g q^h coefficient n_{g,h}
+    itself.  Column h is the q^h coefficient, a polynomial in lambda of
+    degree at most h, stored packed as one integer: its value at
+    lambda = 2^W (Kronecker substitution).  Evaluation at 2^W is a ring
+    homomorphism, so every step below is exact in Z whatever the size of the
+    coefficients.  The columns start as the Euler power
+    prod (1 - q^n)^(-18) (:func:`_euler_power_coefficients`) and are divided
+    by D twice in place, going up in h:
 
-        column[h] -= sum_{m >= 1, T_m <= h} (-1)^m S_m * column[h - T_m],
+        column[h] -= sum_{m >= 1, T_m <= h} (-1)^m S_m(-lambda) * column[h - T_m],
 
-    which reads only columns that are already divided.  D has only about
-    sqrt(2h) terms up to q^h, so the grid takes O(h_max^3) coefficient
-    products instead of the O(h_max^4) of multiplying in every factor.  The
-    q^h coefficient has lambda-degree at most h, so column h has h + 1
-    entries, and n_{g,h} = (-1)^g [lambda^g q^h]; the sign is stripped at the
-    end so the grid stores the counts with their conventional signs.
+    which reads only columns that are already divided.  Each product is
+    formed by Horner's rule at 2^W, one shift and one small multiple per
+    theta coefficient, all linear-time bigint work (multiplying by the packed
+    theta would cost more from h ~ 200).  D has only about sqrt(2h) terms up
+    to q^h.  Only the final unpack needs W to be large enough:
+    :func:`_slot_width` takes it from an l1 majorant of the columns, and
+    :func:`_unpack` raises if a coefficient still overflows its slot.
 
     The z-route (:func:`kkv_product`, then :func:`lambda_decompose` per
     column) computes the same grid independently and is its oracle in the
@@ -269,14 +331,9 @@ def bps_grid_from_kkv(h_max: int) -> KkvBpsGrid:
     if h_max < 0:
         raise ValueError("h_max must be >= 0")
     start = perf_counter()
-    thetas = [
-        (m * (m + 1) // 2, [(-1) ** m * s for s in _theta_coefficients(m)])
-        for m in range(1, h_max + 1)
-        if m * (m + 1) // 2 <= h_max
-    ]
-    columns = [
-        [c] + [0] * h for h, c in enumerate(_euler_power_coefficients(h_max, 18))
-    ]
+    thetas = _signed_thetas(h_max)
+    columns = _euler_power_coefficients(h_max, 18)
+    width = _slot_width(columns, thetas)
     for _ in range(2):
         for h in range(1, h_max + 1):
             acc = columns[h]
@@ -284,13 +341,18 @@ def bps_grid_from_kkv(h_max: int) -> KkvBpsGrid:
                 if t > h:
                     break
                 earlier = columns[h - t]
-                for k, s in enumerate(theta):
-                    for g, c in enumerate(earlier, k):
-                        acc[g] -= s * c
-    grid = KkvBpsGrid(
-        [-c if g % 2 else c for g, c in enumerate(column)] for column in columns
+                product = 0
+                for s in theta:
+                    product = (product << width) + s * earlier
+                acc -= product
+            columns[h] = acc
+    grid = KkvBpsGrid(_unpack(packed, h + 1, width) for h, packed in enumerate(columns))
+    log.debug(
+        "bps_grid_from_kkv h_max=%d in %.3f s, slot %d bits",
+        h_max,
+        perf_counter() - start,
+        width,
     )
-    log.debug("bps_grid_from_kkv h_max=%d in %.3f s", h_max, perf_counter() - start)
     return grid
 
 

@@ -15,9 +15,12 @@ are demonstration data with the right shape.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
+from time import perf_counter
 from typing import Mapping, Sequence
 
 from .bps import gw_grade_series
@@ -31,6 +34,8 @@ from .pairs import (
 )
 from .scalars import as_fraction
 from .series import LaurentSeries
+
+log = logging.getLogger("k3bps")
 
 
 @dataclass(frozen=True, order=True)
@@ -144,29 +149,49 @@ class NlMatrix:
         return len(self.rows) == len(self.cols)
 
     def _eliminate(self) -> tuple[tuple[Fraction, ...], ...] | int:
+        """The inverse rows, or the rank if the matrix is singular.
+
+        Each row is scaled to integers by the lcm of its denominators, so the
+        matrix is diag(scales) * data.  Fraction-free (Bareiss) Gauss-Jordan
+        elimination of [A | I] keeps every entry an integer minor of A: each
+        update (pivot * a - factor * b) // previous_pivot divides exactly.  At
+        full rank the left block is det * I and the right block det * A^-1;
+        scaling column k back by scales[k] gives data^-1, one division by det
+        per entry.
+        """
         if not self.is_square:
             return min(len(self.rows), len(self.cols))
+        start = perf_counter()
         n = len(self.rows)
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.data)]
-        rank = 0
+        scales = [lcm(*(v.denominator for v in row)) for row in self.data]
+        work = [
+            [v.numerator * (scale // v.denominator) for v in row] + [int(i == j) for j in range(n)]
+            for i, (row, scale) in enumerate(zip(self.data, scales))
+        ]
+        previous, rank = 1, 0
         for col in range(n):
             pivot = next((r for r in range(rank, n) if work[r][col]), None)
             if pivot is None:
                 continue
             work[rank], work[pivot] = work[pivot], work[rank]
-            inv = 1 / work[rank][col]
-            work[rank] = [v * inv for v in work[rank]]
-            for r in range(n):
-                if r != rank and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+            top = work[rank]
+            lead = top[col]
+            for r, row in enumerate(work):
+                if r != rank:
+                    factor = row[col]
+                    work[r] = [(lead * a - factor * b) // previous for a, b in zip(row, top)]
+            previous = lead
             rank += 1
+        log.debug("NlMatrix elimination size=%d rank=%d in %.4f s", n, rank, perf_counter() - start)
         if rank < n:
             return rank
-        return tuple(tuple(row[n:]) for row in work)
+        return tuple(
+            tuple(Fraction(v * scale, previous) for v, scale in zip(row[n:], scales))
+            for row in work
+        )
 
     def inverse_data(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact inverse by Gaussian elimination; raises with the rank if singular.
+        """Exact inverse by fraction-free elimination; raises with the rank if singular.
 
         The matrix is eliminated once; later calls reuse the inverse rows, or
         the rank, which is raised as a fresh error every time.

@@ -233,6 +233,25 @@ def test_grid_column_at_limit_is_allowed(monkeypatch):
         main(["table", "--hmax", "200"])
 
 
+def _no_series(h_max):
+    raise AssertionError(f"asked to expand the Yau-Zaslow series to q^{h_max}")
+
+
+def test_yau_zaslow_order_above_limit_is_refused_up_front(capsys, monkeypatch):
+    monkeypatch.setattr("k3bps.cli.yau_zaslow_series", _no_series)
+    for hmax in ("5001", "100000", "-1"):
+        code, out, err = run_cli(capsys, "yau-zaslow", "--hmax", hmax)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --hmax must be an integer from 0 to 5000\n"
+
+
+def test_yau_zaslow_order_at_limit_is_allowed(monkeypatch):
+    monkeypatch.setattr("k3bps.cli.yau_zaslow_series", _no_series)
+    with pytest.raises(AssertionError, match="to q\\^5000$"):
+        main(["yau-zaslow", "--hmax", "5000"])
+
+
 def test_nl_demo_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "nl-demo", "--seed", "9", "--format", "json")
     code2, out2, _ = run_cli(capsys, "nl-demo", "--seed", "9", "--format", "json")

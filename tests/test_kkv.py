@@ -14,7 +14,14 @@ from k3bps import (
     lambda_power,
     yau_zaslow_series,
 )
-from k3bps.kkv import KkvBpsGrid, _theta_coefficients
+from k3bps.kkv import (
+    KkvBpsGrid,
+    _euler_power_coefficients,
+    _signed_thetas,
+    _slot_width,
+    _theta_coefficients,
+    _unpack,
+)
 
 REFERENCE_TABLE = {
     0: (1,),
@@ -23,6 +30,50 @@ REFERENCE_TABLE = {
     3: (3200, -800, 88, -4),
     4: (25650, -8550, 1401, -126, 5),
 }
+
+
+def _euler_power_by_binomial_sums(q_order, exponent):
+    """prod (1 - q^n)^(-exponent) by multiplying in one factor at a time,
+    each expanded as sum_j C(j + exponent - 1, exponent - 1) q^(n j)."""
+    out = [0] * (q_order + 1)
+    out[0] = 1
+    for n in range(1, q_order + 1):
+        for h in range(q_order, n - 1, -1):
+            acc = out[h]
+            j, base = 1, h - n
+            while base >= 0:
+                acc += comb(j + exponent - 1, exponent - 1) * out[base]
+                j += 1
+                base -= n
+            out[h] = acc
+    return out
+
+
+def _grid_by_lambda_lists(h_max):
+    """The grid columns by the same division by D twice, with one list of
+    lambda-coefficients per power of q and the sign stripped at the end."""
+    thetas = [
+        (m * (m + 1) // 2, [(-1) ** m * s for s in _theta_coefficients(m)])
+        for m in range(1, h_max + 1)
+        if m * (m + 1) // 2 <= h_max
+    ]
+    columns = [[c] + [0] * h for h, c in enumerate(_euler_power_by_binomial_sums(h_max, 18))]
+    for _ in range(2):
+        for h in range(1, h_max + 1):
+            acc = columns[h]
+            for t, theta in thetas:
+                if t > h:
+                    break
+                earlier = columns[h - t]
+                for k, s in enumerate(theta):
+                    for g, c in enumerate(earlier, k):
+                        acc[g] -= s * c
+    return [tuple(-c if g % 2 else c for g, c in enumerate(column)) for column in columns]
+
+
+@pytest.fixture(scope="module")
+def grid200():
+    return bps_grid_from_kkv(200)
 
 
 def test_product_constant_term_is_one():
@@ -125,6 +176,8 @@ def test_grid_logs_its_size_and_time_at_debug(caplog):
     (record,) = [r for r in caplog.records if "bps_grid_from_kkv" in r.getMessage()]
     assert record.levelno == logging.DEBUG
     assert record.getMessage().startswith("bps_grid_from_kkv h_max=3 in ")
+    width = _slot_width(_euler_power_coefficients(3, 18), _signed_thetas(3))
+    assert record.getMessage().endswith(f" s, slot {width} bits")
 
 
 def test_grid_corner_value():
@@ -200,20 +253,63 @@ def test_yau_zaslow_equals_genus_zero_row(grid20):
         assert yz.coefficient(h) == grid20.value(0, h)
 
 
-def test_yau_zaslow_against_divisor_sum_recurrence():
-    # independent oracle: for f = prod (1-q^n)^-c the logarithmic derivative
-    # gives n*a(n) = c * sum_{k=1..n} sigma(k) * a(n-k)
-    bound = 20
-    sigma = [0] * (bound + 1)
-    for d in range(1, bound + 1):
-        for multiple in range(d, bound + 1, d):
-            sigma[multiple] += d
-    a = [Fraction(1)] + [Fraction(0)] * bound
-    for n in range(1, bound + 1):
-        a[n] = 24 * sum(sigma[k] * a[n - k] for k in range(1, n + 1)) / n
+def test_euler_powers_against_binomial_sum_loop():
+    # the divisor-sum recurrence against multiplying in each factor
+    # (1 - q^n)^-a as its binomial series
+    bound = 120
+    for exponent in (18, 20, 24):
+        expected = _euler_power_by_binomial_sums(bound, exponent)
+        assert _euler_power_coefficients(bound, exponent) == expected, exponent
     yz = yau_zaslow_series(bound)
-    for h in range(bound + 1):
-        assert yz.coefficient(h) == a[h]
+    assert [yz.coefficient(h) for h in range(bound + 1)] == expected
+
+
+def test_packed_grid_matches_lambda_list_recurrence(grid200):
+    columns = _grid_by_lambda_lists(200)
+    assert grid200.columns == tuple(columns)
+    # each h_max has its own slot width, so every small grid is rebuilt
+    for h_max in range(61):
+        assert bps_grid_from_kkv(h_max).columns == tuple(columns[: h_max + 1]), h_max
+
+
+@pytest.mark.parametrize("h_max", [0, 1, 2, 3, 80, 200])
+def test_slot_width_leaves_a_sign_bit_over_the_largest_entry(h_max, grid200):
+    width = _slot_width(_euler_power_coefficients(h_max, 18), _signed_thetas(h_max))
+    largest = max(abs(v) for column in grid200.columns[: h_max + 1] for v in column)
+    assert width % 8 == 0
+    assert width >= largest.bit_length() + 1
+
+
+def _signed_digits(width):
+    half = 1 << (width - 1)
+    return st.lists(st.integers(min_value=-half, max_value=half - 1), min_size=1, max_size=6)
+
+
+packed_cases = st.sampled_from([8, 16, 32]).flatmap(
+    lambda width: st.tuples(st.just(width), _signed_digits(width))
+)
+
+
+@given(packed_cases)
+def test_unpack_inverts_packing(case):
+    width, digits = case
+    packed = sum(c << (width * g) for g, c in enumerate(digits))
+    assert _unpack(packed, len(digits), width) == tuple(digits)
+
+
+@pytest.mark.parametrize(
+    "digits",
+    [
+        [0, 0, 128],  # the top slot overflows upwards
+        [0, 0, -129],  # and downwards
+        [5, 128, 127],  # a middle slot carries into a full top slot
+        [0, 0, 0, 1],  # bits past the last slot
+    ],
+)
+def test_unpack_refuses_a_coefficient_that_does_not_fit(digits):
+    packed = sum(c << (8 * g) for g, c in enumerate(digits))
+    with pytest.raises(ArithmeticError, match="8-bit slot"):
+        _unpack(packed, 3, 8)
 
 
 def test_product_second_coefficient_by_brute_force():

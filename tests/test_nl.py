@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 from random import Random
 
@@ -77,6 +78,51 @@ def test_singular_matrix_reports_rank():
             nl.inverse_data()
         assert exc.value.rank == 2
         assert exc.value.size == 3
+
+
+def _random_square(rng, n, kind):
+    if kind == "integer":
+        return [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    if kind == "rational":
+        return [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(n)] for _ in range(n)
+        ]
+    # singular: every row a combination of at most n - 1 random rows
+    basis = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+    return [
+        [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(n)] for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "singular"])
+def test_inverse_and_rank_match_sympy(kind):
+    sympy = pytest.importorskip("sympy")
+    rng = Random(kind)
+    for case in range(25):
+        n = 1 + case % 6
+        data = _random_square(rng, n, kind)
+        labels = [ClassLabel(1, h) for h in range(n)]
+        expected = sympy.Matrix(data)
+        nl = NlMatrix(labels, labels, data)
+        rank = expected.rank()
+        if rank < n:
+            with pytest.raises(SingularMatrixError) as exc:
+                nl.inverse_data()
+            assert exc.value.rank == rank, data
+            continue
+        inverse = expected.inv()
+        assert nl.inverse_data() == tuple(
+            tuple(Fraction(int(v.p), int(v.q)) for v in inverse.row(i)) for i in range(n)
+        ), data
+
+
+def test_elimination_logs_size_rank_and_time_at_debug(caplog):
+    with caplog.at_level(logging.DEBUG, logger="k3bps"):
+        with pytest.raises(SingularMatrixError):
+            NlMatrix(ROWS, LABELS, [[1, 2, 3], [2, 4, 6], [0, 0, 1]]).inverse_data()
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("NlMatrix")]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage().startswith("NlMatrix elimination size=3 rank=2 in ")
 
 
 def test_inverse_is_computed_once_per_matrix(monkeypatch):
