@@ -1,9 +1,10 @@
 """The change of variables q = -exp(i*u) and the local MNOP identity.
 
-The substitution runs over the rationals: centred on the midpoint of the
-denominator's degree range, a q <-> 1/q invariant function has only even
-powers of u, whose i^t factors are real signs, so a real even Laurent series
-comes out and no imaginary unit is ever formed.  On the footnote function
+The substitution runs in integers: centred on the midpoint of the
+denominator's degree range, a q <-> 1/q invariant function (checked exactly:
+its signed coefficients are palindromic) has only even powers of u, whose
+i^t factors are real signs, so a real even Laurent series comes out and no
+imaginary unit is ever formed.  On the footnote function
 q/(1+q)^2 the result is (2 sin(u/2))^-2, computed here by a completely
 separate code path (trigonometric series versus exponential sums), and the
 same comparison run over a block of classes is the local MNOP identity:

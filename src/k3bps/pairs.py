@@ -25,18 +25,15 @@ where gamma(k) is a primitive class with the same square as (d/k)*beta.
 Every pairs function is reached through a :class:`PairsLedger`, which
 computes it once and checks its q <-> 1/q invariance.
 
-The substitution q = -exp(i*u) needs no imaginary unit and runs in
-integers, directly on the integer pair (num, den) that a RationalFunction
-stores, so nothing is cleared of denominators first.  Centred on the
-midpoint a of the denominator's degree range, e^{-iau} p(-e^{iu}) has u^t
-coefficient i^t/t! * sum_j p_j (-1)^j (j-a)^t; invariance under q <-> 1/q
-makes every odd-t sum vanish, which is checked exactly, so only real even
-powers of u remain and the factor e^{-iau} cancels in the quotient.  The
-two even series are divided in x = u^2 by one long division over integers;
-the pole at u = 0 is the multiplicity of the root q = -1, counted by integer
-synthetic division.  Nothing here reads the sine brackets of
-:mod:`k3bps.bps`, so :func:`mnop_check` compares two independent
-computations.
+The substitution q = -exp(i*u) runs in integers, on a RationalFunction's
+integer pair.  Centred on the midpoint a of the denominator's degree range,
+e^{-iau} p(-e^{iu}) has u^t coefficient i^t/t! sum_j p_j (-1)^j (j-a)^t.  Both
+polynomials must be palindromic about a, with the sign (-1)^j on q^j, which
+holds exactly when the function is q <-> 1/q symmetric; then odd-t sums vanish,
+the even ones fold the offsets +-(j-a) together, and e^{-iau} cancels.  The
+even series are divided in x = u^2 in binomial form over one integer
+denominator.  Nothing here reads the sine brackets of :mod:`k3bps.bps`, so
+:func:`mnop_check` compares two independent computations.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, perm, prod
 from time import perf_counter
 
 from .bps import BpsTable, divisors, gw_grade_series
@@ -201,59 +198,65 @@ def _minus_one_multiplicity(p: tuple) -> int:
     return mult
 
 
-def _centred_even_coefficients(p: tuple, centre2: int, top: int) -> list[tuple[int, int]]:
-    """The x^m coefficients (-1)^m S_2m / (4^m (2m)!), x = u^2, of e^{-iau} p(-e^{iu})
-    with 2a = ``centre2``, for 2m <= top, as reduced integer pairs (numerator,
-    positive denominator).
+def _folded_even_sums(p: tuple, c: int, top: int) -> list[int]:
+    """alpha_m = (-1)^m S_2m for m <= top, where S_t = sum_j s_j (2j - c)^t
+    and s_j = (-1)^j p_j; with c = 2a, e^{-iau} p(-e^{iu}) has the coefficient
+    alpha_m / (4^m (2m)!) at x^m = u^2m.  Raises unless p_(c-j) = (-1)^c p_j
+    for all j (0 out of range); then s is palindromic, odd S_t vanish, and
+    S_2m = [m=0] s_(c/2) + 2 sum_(2j>c) s_j (2j-c)^2m."""
+    padded = tuple(p) + (0,) * (c + 1 - len(p))
+    if len(p) > c + 1 or padded != tuple(-x if c % 2 else x for x in reversed(padded)):
+        raise ArithmeticError(
+            f"coefficients not palindromic about q^{Fraction(c, 2)}: the input was not "
+            "q <-> 1/q symmetric, or an arithmetic bug occurred"
+        )
+    upper = [(j, x) for j, x in enumerate(p) if x and 2 * j > c]
+    terms = [-2 * x if j % 2 else 2 * x for j, x in upper]
+    squares = [(2 * j - c) ** 2 for j, _ in upper]
+    sums = [sum(terms) + (0 if c % 2 else (-1) ** (c // 2) * padded[c // 2])]
+    for m in range(1, top + 1):
+        terms = [x * o for x, o in zip(terms, squares)]
+        sums.append(-sum(terms) if m % 2 else sum(terms))
+    return sums
 
-    S_t = sum_j p_j (-1)^j (2j - centre2)^t is an integer.  Every odd S_t up
-    to ``top`` must vanish; the first that does not raises.
+
+def _even_quotient(alpha: list[int], beta: list[int], r: int, s: int, count: int) -> tuple:
+    """The first ``count`` coefficients of sum_m alpha_m x^m / (4^m (2m)!), of
+    valuation r, over the same series of beta, of valuation s, as (integer
+    numerators, one denominator).  With N = max(r, s) the x^(r-s+k)
+    coefficient is kappa_k / (4^(k+r-s) (2k+2N-2s)!), where kappa_k =
+    (alpha_(k+r) (2k+2N)!/(2k+2r)! - sum_(j>=1) C(2k+2N, 2j+2s) beta_(j+s)
+    kappa_(k-j)) / (C(2k+2N, 2s) beta_s).  The kappas share one denominator D
+    that takes in the pivots of 8 steps at a time, so a step is integer
+    multiply-adds and one divmod whose remainder raises.  After each block D
+    and the numerators are divided by their gcd: a D keeping every pivot made
+    a pole of order 6 at u-order 402 twice as slow.
     """
-    offsets = [2 * j - centre2 for j, c in enumerate(p) if c]
-    terms = [-c if j % 2 else c for j, c in enumerate(p) if c]
-    coeffs = []
-    scale = 1  # 2^t t!
-    for t in range(top + 1):
-        if t:
-            terms = [x * o for x, o in zip(terms, offsets)]
-            scale *= 2 * t
-        total = sum(terms)
-        if t % 2 == 0:
-            g = gcd(total, scale)
-            coeffs.append((-total // g if t % 4 else total // g, scale // g))
-        elif total:
-            raise ArithmeticError(
-                f"nonzero u^{t} term about q^{Fraction(centre2, 2)}: the input was not "
-                "q <-> 1/q symmetric, or an arithmetic bug occurred"
-            )
-    return coeffs
-
-
-def _long_division(a: list[tuple[int, int]], b: list[tuple[int, int]], count: int) -> list:
-    """The first ``count`` coefficients of a(x) / b(x) for b(0) != 0, as reduced
-    integer pairs: Q_k = (a_k - sum_(j=1..k) b_j Q_(k-j)) / b_0.
-
-    The accumulator is an integer over the lcm of its terms' denominators and
-    is reduced once per coefficient.
-    """
-    lead_num, lead_den = b[0]
-    if lead_num < 0:
-        lead_num, lead_den = -lead_num, -lead_den
-    quotient: list[tuple[int, int]] = []
-    for k in range(count):
-        num, den = a[k]
-        for j in range(1, k + 1):
-            bn, bd = b[j]
-            qn, qd = quotient[k - j]
-            if bn and qn:
-                term_den = bd * qd
-                g = gcd(den, term_den)
-                num = num * (term_den // g) - bn * qn * (den // g)
-                den = den // g * term_den
-        num, den = num * lead_den, den * lead_num
-        g = gcd(num, den)
-        quotient.append((num // g, den // g))
-    return quotient
+    n0 = 2 * max(r, s)
+    kappas: list[int] = []
+    den = 1
+    for first in range(0, count, 8):
+        steps = range(first, min(first + 8, count))
+        pivots = [comb(2 * k + n0, 2 * s) * beta[s] for k in steps]
+        grow = prod(pivots)
+        den *= grow
+        kappas = [x * grow for x in kappas]
+        for k, pivot in zip(steps, pivots):
+            n = 2 * k + n0
+            acc = alpha[k + r] * perm(n, n0 - 2 * r) * den
+            for j in range(1, k + 1):
+                acc -= comb(n, 2 * j + 2 * s) * beta[j + s] * kappas[k - j]
+            kappa, rem = divmod(acc, pivot)
+            if rem:
+                raise ArithmeticError("inexact pivot division in the even quotient: arithmetic bug")
+            kappas.append(kappa)
+        g = gcd(den, *kappas)
+        den //= g
+        kappas = [x // g for x in kappas]
+    # over the common denominator D 4^shift f!, f = 2(count-1) + 2N - 2s
+    f, shift = 2 * count - 2 + n0 - 2 * s, max(count - 1 + r - s, 0)
+    lift = [perm(f, 2 * (count - 1 - k)) << 2 * (shift - k - r + s) for k in range(count)]
+    return [x * y for x, y in zip(kappas, lift)], factorial(f) * den << 2 * shift
 
 
 def _work_order(pole: int, zero: int, u_order: int) -> int:
@@ -277,17 +280,12 @@ def substitution_work_order(r: RationalFunction, u_order: int) -> int:
 def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     """Formal substitution q = -exp(i*u) into a rational function of q.
 
-    The integer numerator and denominator of r are both centred on
-    a = (lowest + highest degree of the denominator) / 2; the common factor
-    e^{-iau} cancels in the quotient.  For a q <-> 1/q symmetric
-    r both centred series are real and even in u; an odd term means r was
-    not symmetric (or an arithmetic bug) and raises.  Being even, they are
-    divided as series in x = u^2 by one long division, every step an integer
-    over an lcm.  The result starts at u^(zero - pole), with pole and zero the
-    multiplicities of the root q = -1 of the denominator and the numerator,
-    which the valuations of the two series must match.  No Laurent series
-    arithmetic is involved: the quotient's reduced pairs are put over their
-    lcm and passed to the series as integers.
+    Numerator and denominator are centred on a = (lowest + highest degree of
+    the denominator) / 2.  Unless r is q <-> 1/q symmetric this raises at every
+    ``u_order`` (:func:`_folded_even_sums`); else the real even series are
+    divided by :func:`_even_quotient`.  The result starts at u^(zero - pole),
+    the multiplicities of the root q = -1 of the numerator and the denominator,
+    which the valuations of the two series must match.
     """
     if r.is_zero:
         raise ValueError("the zero function has an identically vanishing numerator")
@@ -296,21 +294,20 @@ def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     pole = _minus_one_multiplicity(denominator)
     zero = _minus_one_multiplicity(numerator)
     work = _work_order(pole, zero, u_order)
-    low = next(i for i, c in enumerate(denominator) if c)
-    centre2 = low + len(denominator) - 1
-    a = _centred_even_coefficients(numerator, centre2, work)
-    b = _centred_even_coefficients(denominator, centre2, work)
-    va = next((m for m, (n, _) in enumerate(a) if n), None)
-    vb = next((m for m, (n, _) in enumerate(b) if n), None)
+    centre2 = next(i for i, c in enumerate(denominator) if c) + len(denominator) - 1
+    alpha = _folded_even_sums(numerator, centre2, work // 2)
+    beta = _folded_even_sums(denominator, centre2, work // 2)
+    va = next((m for m, c in enumerate(alpha) if c), None)
+    vb = next((m for m, c in enumerate(beta) if c), None)
     if vb is None or va is None or 2 * vb != pole or 2 * va != zero:
         raise ArithmeticError("substitution series valuation disagrees with root multiplicity")
     lowest = zero - pole
-    count = (u_order - lowest) // 2 + 1 if u_order >= lowest else 0
-    quotient = _long_division(a[va:], b[vb:], count)
-    common = lcm(*(d for _, d in quotient))
-    coeffs = [0] * max(u_order - lowest + 1, 0)
-    for k, (n, d) in enumerate(quotient):
-        coeffs[2 * k] = n * (common // d)
+    if u_order < lowest:
+        series = LaurentSeries.zero("u", u_order)
+    else:
+        quotient, common = _even_quotient(alpha, beta, va, vb, (u_order - lowest) // 2 + 1)
+        coeffs = [c for x in quotient for c in (x, 0)][: u_order - lowest + 1]
+        series = LaurentSeries._from_integers("u", lowest, coeffs, common, u_order)
     log.debug(
         "substitute_q_minus_exp pole=%d zero=%d work=%d in %.3f s",
         pole,
@@ -318,9 +315,7 @@ def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
         work,
         perf_counter() - start,
     )
-    if not count:
-        return LaurentSeries.zero("u", u_order)
-    return LaurentSeries._from_integers("u", lowest, coeffs, common, u_order)
+    return series
 
 
 def bps_table_from_grid(grid: KkvBpsGrid, d_max: int, h: int) -> BpsTable:

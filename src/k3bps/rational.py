@@ -180,6 +180,15 @@ def _integral(numerator, denominator) -> tuple[Poly, Poly]:
     )
 
 
+def _reduced(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """A trimmed integer pair with its primitive gcd divided out: coprime."""
+    if num and den:
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            return _pexact_div(num, g), _pexact_div(den, g)
+    return num, den
+
+
 def _poly_str(p: Sequence[Fraction], variable: str = "q") -> str:
     if not p:
         return "0"
@@ -210,13 +219,7 @@ class RationalFunction:
     __slots__ = ("_num", "_den")
 
     def __init__(self, numerator, denominator=(1,)) -> None:
-        num, den = _integral(numerator, denominator)
-        if num and den:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pexact_div(num, g)
-                den = _pexact_div(den, g)
-        self._set_normalized(num, den)
+        self._set_normalized(*_reduced(*_integral(numerator, denominator)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("RationalFunction is immutable")
@@ -331,7 +334,7 @@ class RationalFunction:
             total.extend([0] * (len(num) - len(total)))
             for i, c in enumerate(num):
                 total[i] += w * c
-        return cls(total, tuple(scale * c for c in common))
+        return cls._from_coprime(*_reduced(_trim(total), tuple(scale * c for c in common)))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -369,7 +372,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(_pmul(self._num, other._num), _pmul(self._den, other._den))
+        num, den = _reduced(_pmul(self._num, other._num), _pmul(self._den, other._den))
+        return RationalFunction._from_coprime(num, den)
 
     __rmul__ = __mul__
 
@@ -379,7 +383,8 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(_pmul(self._num, other._den), _pmul(self._den, other._num))
+        num, den = _reduced(_pmul(self._num, other._den), _pmul(self._den, other._num))
+        return RationalFunction._from_coprime(num, den)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

@@ -208,6 +208,17 @@ def test_transfer_flags_asymmetric_fault(grid5):
     assert any(failure[1] == "substitution failed" for failure in report.failures)
 
 
+def test_transfer_flags_asymmetry_beyond_the_compared_orders(grid5):
+    # odd centred power sums of this entry vanish below u^7, far above u^0
+    asymmetric = RationalFunction((0, 0, -14, -14, -6, -1), (1, 2, 1))
+    gw_vec, pairs_vec = synthetic_k3_vectors(LABELS, grid5, 8)
+    nl = NlMatrix.identity(LABELS)
+    broken = combine(pairs_vec, nl).replace(LABELS[0], asymmetric)
+    report = transfer_mnop(combine(gw_vec, nl), broken, nl, 0)
+    assert [failure[:2] for failure in report.failures] == [(LABELS[0], "substitution failed")]
+    assert "not q <-> 1/q symmetric" in report.failures[0][2]
+
+
 def test_identity_matrix_reduces_transfer_to_pointwise_mnop(grid5):
     gw_vec, pairs_vec = synthetic_k3_vectors(LABELS, grid5, 8)
     ident = NlMatrix.identity(LABELS)

@@ -24,6 +24,7 @@ from k3bps import (
     substitute_q_minus_exp,
     synthetic_k3_vectors,
 )
+from k3bps import pairs
 from k3bps.pairs import grid_column, substitution_work_order
 
 FOOTNOTE = RationalFunction((0, 1), (1, 2, 1))  # q/(1+q)^2
@@ -194,6 +195,69 @@ def test_substitution_rejects_asymmetric_input():
         substitute_q_minus_exp(RationalFunction((1,), (1, -1)), 6)
 
 
+@pytest.mark.parametrize("u_order", range(-4, 13))
+@pytest.mark.parametrize(
+    "fn",
+    [
+        # every odd centred power sum below t = 7 vanishes
+        RationalFunction((0, 0, -14, -14, -6, -1), (1, 2, 1)),
+        # the numerator is palindromic, about q^2 instead of q^1
+        RationalFunction((1, 0, 1, 0, 1), (1, 2, 1)),
+    ],
+    ids=["odd-sums-from-t7", "wrong-centre"],
+)
+def test_substitution_rejects_asymmetry_at_every_order(fn, u_order):
+    with pytest.raises(ArithmeticError, match="not\\s+q <-> 1/q symmetric"):
+        substitute_q_minus_exp(fn, u_order)
+
+
+def test_folded_even_sums_take_the_sign_of_the_centre():
+    # about q^(1/2) the signed coefficients of 1 - q are palindromic, those of 1 + q are not
+    assert pairs._folded_even_sums((1, -1), 1, 2) == [2, -2, 2]
+    with pytest.raises(ArithmeticError, match="not\\s+q <-> 1/q symmetric"):
+        pairs._folded_even_sums((1, 1), 1, 2)
+
+
+def test_even_quotient_keeps_its_denominator_reduced():
+    # q/(1+q)^2 to u^402: the product of all 203 pivots C(2k+2, 2) * 8 has
+    # about 3600 bits, the reduced denominator of the kappas about 550
+    alpha = pairs._folded_even_sums((0, 1), 2, 205)
+    beta = pairs._folded_even_sums((1, 2, 1), 2, 205)
+    _, common = pairs._even_quotient(alpha, beta, 0, 1, 203)
+    kappa_den, rem = divmod(common, factorial(404) << 2 * 201)
+    assert rem == 0
+    assert abs(kappa_den).bit_length() < 1000
+
+
+def _symmetric_function(rng):
+    """A random ratio of integer polynomials in q + 1/q, which is q <-> 1/q symmetric."""
+    w = RationalFunction((1, 0, 1), (0, 1))
+    num = sum((w**k * rng.randint(-9, 9) for k in range(rng.randint(0, 4))), RationalFunction.one())
+    den = sum((w**k * rng.randint(-9, 9) for k in range(rng.randint(0, 4))), w + 2)
+    return num / den
+
+
+def test_substitution_accepts_symmetric_and_rejects_perturbed_functions():
+    rng = Random(20)
+    for _ in range(40):
+        fn = _symmetric_function(rng)
+        if fn.is_zero:
+            continue
+        assert check_q_inversion_symmetry(fn)
+        assert substitute_q_minus_exp(fn, 10) == inverse_route_substitution(fn, 10)
+        bumped = fn + RationalFunction.monomial(rng.randint(1, 6), Fraction(rng.randint(1, 9), 7))
+        for u_order in (-2, 0, 10):
+            with pytest.raises(ArithmeticError, match="not\\s+q <-> 1/q symmetric"):
+                substitute_q_minus_exp(bumped, u_order)
+
+
+def test_inexact_pivot_division_raises(monkeypatch):
+    # a common denominator that misses the pivots cannot hold the quotient
+    monkeypatch.setattr(pairs, "prod", lambda pivots: 1)
+    with pytest.raises(ArithmeticError, match="inexact pivot division"):
+        substitute_q_minus_exp(FOOTNOTE, 12)
+
+
 @pytest.mark.parametrize(
     "d, h, extra_pole",
     [
@@ -269,6 +333,34 @@ def test_substitution_matches_inverse_route_on_small_classes(grid65):
                 assert substitute_q_minus_exp(fn, u_order) == top.truncate(u_order), (d, h, u_order)
 
 
+@pytest.mark.parametrize(
+    "d, h, power",
+    [
+        pytest.param(d, h, power, id=f"{d}-{h}-footnote^{power}")
+        for d, h in ((1, 0), (1, 1), (2, 1), (3, 2))
+        for power in (-3, 1, 2)
+    ],
+)
+def test_substitution_matches_inverse_route_at_high_zero_and_pole(grid65, ledger65, d, h, power):
+    # footnote^-3 makes the zero at q = -1 of order 4 exceed the pole; ^1 and
+    # ^2 raise the pole to order 4 and 6
+    fn = multiple_cover(HodgeLabel(d, h), grid65, ledger65) * FOOTNOTE**power
+    top = inverse_route_substitution(fn, 40)
+    for u_order in range(41):
+        assert substitute_q_minus_exp(fn, u_order) == top.truncate(u_order), u_order
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [RationalFunction((Fraction(5, 7),)), RationalFunction((1, 0, 1), (0, 1))],
+    ids=["constant", "q+1/q"],
+)
+def test_substitution_matches_inverse_route_without_pole_or_zero(fn):
+    top = inverse_route_substitution(fn, 40)
+    for u_order in range(41):
+        assert substitute_q_minus_exp(fn, u_order) == top.truncate(u_order)
+
+
 @pytest.mark.parametrize("d, h", [(1, 1), (14, 2)])
 def test_substitution_matches_inverse_route_at_the_order_limit(d, h):
     grid = bps_grid_from_kkv(grid_column(d, h))
@@ -287,8 +379,9 @@ def test_substitution_matches_inverse_route_on_rational_nl_combinations(grid20, 
     for row in rows:
         fn = fibre.value(row)
         assert any(c.denominator > 1 for c in fn.numerator), row
-        for u_order in (0, 7, 16):
-            assert substitute_q_minus_exp(fn, u_order) == inverse_route_substitution(fn, u_order)
+        top = inverse_route_substitution(fn, 40)
+        for u_order in range(41):
+            assert substitute_q_minus_exp(fn, u_order) == top.truncate(u_order), (row, u_order)
 
 
 def test_substitution_below_the_valuation_is_the_zero_series():
