@@ -11,17 +11,26 @@ so only the d = 1 sine brackets are expanded.  They are integers over
 factorials: (2*sin(u/2))^(2m) from the central factorial numbers T(2n, 2m),
 and (2*sin(u/2))^-2 from the Bernoulli numbers, both tables grown once and
 shared by every u-order.  A grade is then one integer sum per coefficient
-over (2n)! * D, reduced once.  The relation is upper triangular with unit
-diagonal (grade-by-grade over divisors, genus-by-genus within a grade), so it
-inverts exactly; the inverse need not produce integers for arbitrary rational
-input, and integrality is reported rather than assumed.
+over (2n)! * D, reduced once.
+
+The inverse shares none of that.  With T_k G(u) = G(k*u)/k the forward is
+N_D = sum_{k | D} T_k F_{D/k}, and T_k T_l = T_(kl), so Moebius inversion
+gives F_D = sum_{k | D} mu(k) T_k N_{D/k}: its u^(2g-2) coefficient is
+sum_{k | D} mu(k) k^(2g-3) N_{g,D/k}, one integer sum over D^3 once the
+potential is on one integer scale.  Then n_{g,D} = [x^(g-1)] F_D with
+x = (2*sin(u/2))^2, read from the other side of the substitution: u^(2j)/(2j)!
+= sum_n |t(2n,2j)| x^n/(2n)! in the central factorial numbers of the first
+kind, and u^-2 = sum_g c_g x^(g-1) with c_g = [x^g] x/u^2, one series inverse
+of u^2/x = sum_m 2 m!^2 x^m/(2m+2)!.  Both tables are grown once, like the
+forward's.  The solve is exact, but it need not produce integers for
+arbitrary rational input, and integrality is reported rather than assumed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Mapping
 
 from .scalars import as_fraction
@@ -43,12 +52,30 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def mobius(n: int) -> int:
+    """The Moebius function mu(n) of n >= 1, by trial division."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
 # Growing caches shared by every u-order: rows n of the central factorial
 # triangle T(2n, 2j), j = 0..n, and |B_2n| with the last Seidel-Entringer row
-# they are read from.
+# they are read from; for the inverse, rows n of the first-kind triangle
+# |t(2n, 2j)| and the genus-0 column e_g.
 _central_rows: list[list[int]] = [[1]]
 _bernoulli: list[Fraction] = [Fraction(1)]
 _seidel_row: list[int] = [1]
+_first_kind_rows: list[list[int]] = [[1]]
+_genus_zero: list[Fraction] = [Fraction(1)]
 
 
 def central_factorial_row(n: int) -> list[int]:
@@ -75,6 +102,42 @@ def bernoulli_abs(n: int) -> Fraction:
     return _bernoulli[n]
 
 
+def central_factorial_first_kind_row(n: int) -> list[int]:
+    """The integers |t(2n, 2j)|, j = 0..n: |t(0,0)| = 1 and
+    |t(2n,2j)| = |t(2n-2,2j-2)| + (n-1)^2 |t(2n-2,2j)|.
+
+    They expand u in x = (2*sin(u/2))^2, u^(2j)/(2j)! = sum_n |t(2n,2j)| x^n/(2n)!,
+    and the signed (-1)^(n-j) |t(2n,2j)| invert the rows of T(2n, 2j).
+    """
+    while len(_first_kind_rows) <= n:
+        r = len(_first_kind_rows)
+        prev = _first_kind_rows[-1] + [0]
+        step = (r - 1) ** 2
+        _first_kind_rows.append([0] + [prev[j - 1] + step * prev[j] for j in range(1, r + 1)])
+    return _first_kind_rows[n]
+
+
+def genus_zero_column(g: int) -> Fraction:
+    """e_g = (2g+1)! [x^g] x/u^2 with x = (2*sin(u/2))^2, so that
+    u^-2 = sum_g e_g x^(g-1) / (2g+1)!.
+
+    u^2/x = sum_m 2 m!^2 x^m/(2m+2)!, so the e_g solve
+    sum_m 2 m!^2 C(2g+3, 2m+2) e_(g-m) = 6 [g = 0], each one integer sum over
+    the lcm of the earlier (small) denominators.
+    """
+    while len(_genus_zero) <= g:
+        n = len(_genus_zero)
+        common = lcm(*(e.denominator for e in _genus_zero))
+        total, weight = 0, 1  # weight = m!
+        for m in range(1, n + 1):
+            weight *= m
+            e = _genus_zero[n - m]
+            scaled = e.numerator * (common // e.denominator)
+            total += weight * weight * comb(2 * n + 3, 2 * m + 2) * scaled
+        _genus_zero.append(Fraction(-2 * total, (2 * n + 2) * (2 * n + 3) * common))
+    return _genus_zero[g]
+
+
 @lru_cache(maxsize=None)
 def sine_bracket(d: int, g: int, order: int) -> LaurentSeries:
     """Laurent series of ``(2*sin(d*u/2))**(2g-2)`` in u: even, led by (d*u)^(2g-2).
@@ -98,7 +161,7 @@ def sine_bracket(d: int, g: int, order: int) -> LaurentSeries:
         raise ValueError(f"truncation order {order} cannot hold the leading term u^{2 * g - 2}")
     if d > 1:
         return sine_bracket(1, g, order).rescaled(d)
-    return _grade_series({1: _primitive_numerators({g: 1}, order)}, 1, [1], order)
+    return _grade_series({1: _primitive_numerators({g: 1}, order)}, 1, order)
 
 
 # bound once, so the counts stay readable when the name ``sine_bracket`` is
@@ -245,10 +308,11 @@ def _primitive_numerators(values: Mapping[int, object], u_order: int):
     return scale, lead, numerators
 
 
-def _grade_pairs(primitives: Mapping[int, tuple], d: int, ks: list[int], u_order: int):
-    """sum_(k in ks) (1/k) F_(d/k)(k*u), with F_e read from ``primitives`` (grade e
-    to the output of :func:`_primitive_numerators`), as one (numerator,
-    denominator) integer pair per degree -2 .. u_order, or [] for zero.
+def _grade_pairs(primitives: Mapping[int, tuple], d: int, u_order: int):
+    """sum_(k | d) (1/k) F_(d/k)(k*u), with F_e read from ``primitives`` (grade e
+    to the output of :func:`_primitive_numerators`; a missing grade is zero),
+    as one (numerator, denominator) integer pair per degree -2 .. u_order, or
+    [] for zero.
 
     F_e(k*u)/k has u^(2n) coefficient numerators[n] k^(2n-1) / (scale * D_n);
     over the common denominator D_n * d * L, with L the lcm of the scales,
@@ -256,7 +320,7 @@ def _grade_pairs(primitives: Mapping[int, tuple], d: int, ks: list[int], u_order
     each coefficient is one integer sum.  The u^-2 terms lead/scale k^-3 sit
     over d^3 * L alike.  The pairs are not reduced.
     """
-    terms = [(k, primitives[d // k]) for k in ks if primitives.get(d // k)]
+    terms = [(k, primitives[d // k]) for k in divisors(d) if primitives.get(d // k)]
     if not terms or u_order < -2:
         return []
     common = lcm(*(scale for _, (scale, _, _) in terms))
@@ -274,9 +338,9 @@ def _grade_pairs(primitives: Mapping[int, tuple], d: int, ks: list[int], u_order
     return pairs
 
 
-def _grade_series(primitives: Mapping[int, tuple], d: int, ks: list[int], u_order: int):
+def _grade_series(primitives: Mapping[int, tuple], d: int, u_order: int):
     """The grade sum of :func:`_grade_pairs` as one series over the lcm of the pairs."""
-    pairs = _grade_pairs(primitives, d, ks, u_order)
+    pairs = _grade_pairs(primitives, d, u_order)
     if not pairs:
         return LaurentSeries.zero("u", u_order)
     common = lcm(*(den for _, den in pairs))
@@ -295,8 +359,8 @@ def _by_grade(entries: Mapping[tuple[int, int], object], u_order: int, grades) -
 
 def gw_grade_series(table: BpsTable, d: int, u_order: int) -> LaurentSeries:
     """Forward transform at a single grade: sum_{k | d} (1/k) F_{d/k}(k*u)."""
-    ks = divisors(d)
-    total = _grade_series(_by_grade(table.entries, u_order, {d // k for k in ks}), d, ks, u_order)
+    grades = {d // k for k in divisors(d)}
+    total = _grade_series(_by_grade(table.entries, u_order, grades), d, u_order)
     for deg, c in enumerate(total._num, total.min_degree):
         if deg % 2 and c:
             raise ArithmeticError(
@@ -317,17 +381,42 @@ def gw_from_bps(table: BpsTable, d_max: int, u_order: int | None = None) -> GwPo
     primitives = _by_grade(table.entries, u_order, range(1, d_max + 1))
     entries: dict[tuple[int, int], Fraction] = {}
     for d in range(1, d_max + 1):
-        for k, (n, den) in enumerate(_grade_pairs(primitives, d, divisors(d), u_order)):
+        for k, (n, den) in enumerate(_grade_pairs(primitives, d, u_order)):
             if n:
                 entries[k // 2, d] = Fraction(n, den)
     return GwPotential(entries, u_order)
 
 
+def _x_coefficients(f: list[int]) -> list[tuple[int, int]]:
+    """[x^(g-1)] of sum_g f_g u^(2g-2), x = (2*sin(u/2))^2, for g = 0..len(f)-1,
+    as (numerator, denominator) integer pairs, not reduced.
+
+    u^(2g-2) = (2g-2)! sum_(r >= g-1) |t(2r,2g-2)| x^r/(2r)! for g >= 1 and
+    u^-2 = sum_r e_r x^(r-1)/(2r+1)!, so the x^(g-1) coefficient is
+    f_0 e_g/(2g+1)! + sum_(j < g) f_(j+1) (2j)! |t(2g-2,2j)| / (2g-2)!.
+    """
+    scaled, weight = [], 1  # f_(j+1) (2j)!, weight = (2j)!
+    for j, c in enumerate(f[1:]):
+        if j:
+            weight *= (2 * j - 1) * 2 * j
+        scaled.append(c * weight)
+    pairs = [(f[0], 1)]
+    top_factorial = 1  # (2g+1)!
+    for g in range(1, len(f)):
+        top_factorial *= 2 * g * (2 * g + 1)
+        inner = sum(s * t for s, t in zip(scaled, central_factorial_first_kind_row(g - 1)) if s)
+        e = genus_zero_column(g)
+        numerator = f[0] * e.numerator + e.denominator * (2 * g + 1) * 2 * g * (2 * g - 1) * inner
+        pairs.append((numerator, e.denominator * top_factorial))
+    return pairs
+
+
 def bps_from_gw(potential: GwPotential, d_max: int) -> BpsTable:
     """The unique BPS table whose forward transform matches the potential.
 
-    Works grade-by-grade (subtract the covers (1/k) F_{d/k}(k*u), k > 1) and
-    genus-by-genus (triangular solve against the unit-leading d = 1 brackets).
+    By Moebius inversion over the covers, F_d has u^(2g-2) coefficient
+    d^-3 sum_(k | d) mu(k) (d/k)^3 k^(2g) N_(g,d/k); its genus-g count is the
+    x^(g-1) coefficient of F_d in x = (2*sin(u/2))^2 (:func:`_x_coefficients`).
     Non-integer results are kept as Fractions and reported, not rejected.
     """
     if d_max < 1:
@@ -336,18 +425,20 @@ def bps_from_gw(potential: GwPotential, d_max: int) -> BpsTable:
     if u_order < -2:
         raise ValueError("u-truncation below u^-2 cannot hold any genus-0 data")
     top_genus = (u_order + 2) // 2
-    entries: dict[tuple[int, int], object] = {}
-    primitives: dict[int, tuple | None] = {}
-    for d in range(1, d_max + 1):
-        covered = _grade_series(primitives, d, divisors(d)[1:], u_order)
-        residual = potential.grade_series(d) - covered
-        solved = {}
-        for g in range(0, top_genus + 1):
-            c = residual.coefficient(2 * g - 2)
-            if c:
-                solved[g] = entries[(g, d)] = c
-                residual = LaurentSeries.linear_combination(
-                    ((1, residual), (-c, sine_bracket(1, g, u_order)))
-                )
-        primitives[d] = _primitive_numerators(solved, u_order)
+    kept = {key: v for key, v in potential.entries.items() if key[1] <= d_max}
+    scale = lcm(*(v.denominator for v in kept.values()))
+    mu = [0] + [mobius(k) for k in range(1, d_max + 1)]
+    # grade d to d^3 * scale * (u^(2g-2) coefficient of F_d), g = 0..top_genus
+    primitives: dict[int, list[int]] = {}
+    for (g, e), v in kept.items():
+        weight = v.numerator * (scale // v.denominator) * e**3
+        for k in range(1, d_max // e + 1):
+            if mu[k]:
+                row = primitives.setdefault(e * k, [0] * (top_genus + 1))
+                row[g] += mu[k] * k ** (2 * g) * weight
+    entries: dict[tuple[int, int], Fraction] = {}
+    for d in sorted(primitives):
+        for g, (n, den) in enumerate(_x_coefficients(primitives[d])):
+            if n:
+                entries[g, d] = Fraction(n, den * d**3 * scale)
     return BpsTable(entries, square_labels=None)

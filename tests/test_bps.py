@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import k3bps.bps as bps_module
+
 from k3bps import (
     BpsTable,
     GwPotential,
@@ -15,7 +17,13 @@ from k3bps import (
     gw_grade_series,
     sine_bracket,
 )
-from k3bps.bps import bernoulli_abs, central_factorial_row
+from k3bps.bps import (
+    bernoulli_abs,
+    central_factorial_first_kind_row,
+    central_factorial_row,
+    genus_zero_column,
+    mobius,
+)
 from k3bps.kkv import bps_grid_from_kkv
 from k3bps.pairs import bps_table_from_grid, grid_column
 from k3bps.series import LaurentSeries
@@ -38,6 +46,14 @@ def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     with pytest.raises(ValueError):
         divisors(0)
+
+
+def test_mobius_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 1001):
+        assert mobius(n) == int(sympy.mobius(n)), n
+    with pytest.raises(ValueError):
+        mobius(0)
 
 
 def test_sine_bracket_exponent_zero_is_one():
@@ -303,3 +319,127 @@ grade_six_tables = st.dictionaries(
 @given(grade_six_tables, st.integers(1, 6), st.sampled_from([8, 11]))
 def test_grade_series_matches_per_divisor_brackets_on_random_tables(table, d, order):
     assert gw_grade_series(table, d, order) == per_divisor_grade_series(table, d, order)
+
+
+def test_signed_first_kind_rows_invert_the_central_factorial_rows():
+    # sum_j T(2n,2j) (-1)^(j-m) |t(2j,2m)| = [n = m]
+    for n in range(61):
+        row = central_factorial_row(n)
+        for m in range(n + 1):
+            total = sum(
+                row[j] * (-1) ** (j - m) * central_factorial_first_kind_row(j)[m]
+                for j in range(m, n + 1)
+            )
+            assert total == (1 if n == m else 0), (n, m)
+
+
+def genus_table_entry(g: int, k: int) -> Fraction:
+    """[x^(g-1)] u^(2k-2) in x = (2*sin(u/2))^2, read from the inverse's tables."""
+    if k == 0:
+        return genus_zero_column(g) / factorial(2 * g + 1)
+    if k > g:
+        return Fraction(0)
+    row = central_factorial_first_kind_row(g - 1)
+    return Fraction(factorial(2 * k - 2) * row[k - 1], factorial(2 * g - 2))
+
+
+def test_genus_table_inverts_the_sine_bracket_matrix():
+    # column h of the bracket matrix is (2*sin(u/2))^(2h-2) in u, unit upper
+    # triangular; the genus table must be its exact inverse at every order
+    for order in range(-2, 41):
+        top = (order + 2) // 2
+        brackets = [sine_bracket(1, h, order) for h in range(top + 1)]
+        for g in range(top + 1):
+            weights = [genus_table_entry(g, k) for k in range(top + 1)]
+            for h in range(top + 1):
+                total = sum(w * brackets[h].coefficient(2 * k - 2) for k, w in enumerate(weights))
+                assert total == (1 if g == h else 0), (order, g, h)
+
+
+def test_genus_zero_column_leads_with_one_and_minus_a_twelfth():
+    # x/u^2 = 1 - x/12 - x^2/240 - 31 x^3/60480 - ...
+    expected = [Fraction(1), Fraction(-1, 12), Fraction(-1, 240), Fraction(-31, 60480)]
+    for g, c in enumerate(expected):
+        assert genus_zero_column(g) == c * factorial(2 * g + 1), g
+
+
+def residual_solve(potential: GwPotential, d_max: int) -> BpsTable:
+    """Oracle: the former inverse.  Grade by grade, subtract the covers
+    (1/k) F_(d/k)(k*u), k > 1, of the grades already solved; then genus by
+    genus, subtract c * (2*sin(u/2))^(2g-2) for the leading coefficient c."""
+    u_order = potential.u_truncation
+    entries: dict[tuple[int, int], Fraction] = {}
+    for d in range(1, d_max + 1):
+        # no grade-d entry is solved yet, so the forward grade is the covers alone
+        covered = gw_grade_series(BpsTable(entries), d, u_order)
+        residual = potential.grade_series(d) - covered
+        for g in range((u_order + 2) // 2 + 1):
+            c = residual.coefficient(2 * g - 2)
+            if c:
+                entries[g, d] = c
+                residual = LaurentSeries.linear_combination(
+                    ((1, residual), (-c, sine_bracket(1, g, u_order)))
+                )
+    return BpsTable(entries)
+
+
+ORACLE_ORDERS = [-2, -1, 0, 1, 2, 7, 8, 40]
+
+
+@st.composite
+def oracle_inputs(draw, rational: bool):
+    u_order = draw(st.sampled_from(ORACLE_ORDERS))
+    d_max = draw(st.integers(1, 12))
+    keys = st.tuples(st.integers(0, (u_order + 2) // 2), st.integers(1, 12))
+    if rational:
+        values = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        return GwPotential(draw(st.dictionaries(keys, values, max_size=10)), u_order), d_max
+    table = BpsTable(draw(st.dictionaries(keys, st.integers(-9, 9), max_size=10)))
+    return gw_from_bps(table, 12, u_order), d_max
+
+
+def assert_same_table(ours: BpsTable, oracle: BpsTable):
+    assert ours == oracle
+    for key, value in oracle.entries.items():
+        assert type(ours.entries[key]) is type(value), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_inputs(rational=False))
+def test_inverse_matches_residual_solve_on_integer_tables(case):
+    potential, d_max = case
+    assert_same_table(bps_from_gw(potential, d_max), residual_solve(potential, d_max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_inputs(rational=True))
+def test_inverse_matches_residual_solve_on_rational_potentials(case):
+    potential, d_max = case
+    assert_same_table(bps_from_gw(potential, d_max), residual_solve(potential, d_max))
+
+
+@pytest.mark.parametrize("u_order", ORACLE_ORDERS)
+def test_inverse_matches_residual_solve_on_empty_and_out_of_range_potentials(u_order):
+    empty = GwPotential({}, u_order)
+    assert bps_from_gw(empty, 12) == residual_solve(empty, 12) == BpsTable({})
+    above = GwPotential({(0, 5): 3, (0, 7): Fraction(1, 2), ((u_order + 2) // 2, 12): -4}, u_order)
+    assert bps_from_gw(above, 4) == residual_solve(above, 4) == BpsTable({})
+
+
+def test_inverse_reads_nothing_of_the_forward(monkeypatch):
+    table = bps_table_from_grid(bps_grid_from_kkv(grid_column(6, 1)), 6, 1)
+    potential = gw_from_bps(table, 6, 16)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the inverse read a kernel of the forward transform")
+
+    for name in (
+        "sine_bracket",
+        "_grade_pairs",
+        "_grade_series",
+        "_primitive_numerators",
+        "central_factorial_row",
+        "bernoulli_abs",
+    ):
+        monkeypatch.setattr(bps_module, name, forbidden)
+    assert bps_from_gw(potential, 6) == table
