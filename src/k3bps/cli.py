@@ -66,8 +66,10 @@ MAX_U_ORDER = 2 * MAX_GRID_COLUMN + 2
 MAX_YAU_ZASLOW_ORDER = 5000
 # Highest nl-demo --mmax.  At --hmax <= 1 no grid column bounds it, while the
 # NL matrix spans every m <= --mmax and its rational pairs sums grow with it:
-# `nl-demo --mmax 20 --hmax 1` takes 14 s on the same host, nearly all in the
-# integer remainder-sequence gcd of RationalFunction.linear_combination.
+# `nl-demo --mmax 20 --hmax 1` takes about 11 s on the same host, nearly all
+# in the integer remainder-sequence gcd of RationalFunction.linear_combination
+# while `combine` builds the fibre pairs vector; the transfer that follows
+# sums no rational functions and takes about 0.01 s.
 MAX_NL_DIVISIBILITY = 20
 
 

@@ -6,8 +6,14 @@ square label h); the combination is the same on the Gromov-Witten and the
 stable-pairs side.  With synthetic (caller-supplied) coefficient matrices the
 correspondence is plain exact linear algebra: combine is the matrix-vector
 product (one ``linear_combination`` of the value type per row), and when the
-matrix is invertible over the rationals the K3 data can be recovered and the
-MNOP identity transferred label by label.
+matrix is invertible over the rationals the K3 data can be recovered.
+
+The substitution q = -exp(i*u) is Q-linear, so for an invertible matrix A the
+MNOP identity holds on every K3 class exactly when it holds on every fibre
+class.  :func:`transfer_mnop` therefore compares first and locates second: it
+substitutes and compares the fibre rows, and only when a row disagrees does
+it invert the two u-series vectors to name the K3 labels at fault.  No
+rational function is summed on the way.
 
 Real Noether-Lefschetz intersection numbers are out of scope here; matrices
 are demonstration data with the right shape.
@@ -159,8 +165,6 @@ class NlMatrix:
         scaling column k back by scales[k] gives data^-1, one division by det
         per entry.
         """
-        if not self.is_square:
-            return min(len(self.rows), len(self.cols))
         start = perf_counter()
         n = len(self.rows)
         scales = [lcm(*(v.denominator for v in row)) for row in self.data]
@@ -194,8 +198,12 @@ class NlMatrix:
         """Exact inverse by fraction-free elimination; raises with the rank if singular.
 
         The matrix is eliminated once; later calls reuse the inverse rows, or
-        the rank, which is raised as a fresh error every time.
+        the rank, which is raised as a fresh error every time.  A matrix that
+        is not square raises a plain ``ValueError`` naming its shape.
         """
+        if not self.is_square:
+            shape = f"{len(self.rows)}x{len(self.cols)}"
+            raise ValueError(f"{shape} NlMatrix has no inverse: only a square matrix does")
         if self._inverse is None:
             object.__setattr__(self, "_inverse", self._eliminate())
         if isinstance(self._inverse, int):
@@ -300,28 +308,49 @@ def transfer_mnop(
     nl: NlMatrix,
     u_order: int,
 ) -> TransferReport:
-    """Invert both fibre-class vectors and compare the recovered K3 data.
+    """Transfer the MNOP identity from the fibre classes to the K3 classes.
 
-    For each column label the recovered GW u-series must equal the
-    q = -exp(i*u) expansion of the recovered pairs function.  A recovered
-    pairs entry that is not even q <-> 1/q symmetric counts as a failure at
-    that label.
+    The substitution q = -exp(i*u) is linear, so with A = ``nl`` invertible
+    the recovered K3 data agree label by label exactly when every fibre row
+    agrees: the q = -exp(i*u) expansion of each fibre pairs function (a zero
+    row gives the zero series) must equal its fibre GW series through
+    ``u_order``.  If every row agrees the report is ok and neither vector is
+    inverted; otherwise both u-series vectors are inverted and compared per
+    K3 label.
+
+    A fibre pairs row that is not even q <-> 1/q symmetric cannot be
+    substituted.  Every K3 label whose inverse row puts a nonzero weight on
+    such a row is reported as ``(label, "substitution failed", "fibre row
+    ...: reason")``, also where the asymmetric parts of several rows cancel in
+    that label.  A singular matrix raises :class:`SingularMatrixError` even
+    when every row agrees.
     """
-    k3_gw = invert_correspondence(fib_gw, nl)
-    k3_pairs = invert_correspondence(fib_pairs, nl)
-    failures = []
-    for label in nl.cols:
-        lhs = k3_gw.value(label)
-        entry = k3_pairs.value(label)
-        if getattr(entry, "is_zero", False):
-            rhs = LaurentSeries.zero("u", u_order)
-        else:
+    if set(fib_gw.labels) != set(nl.rows) or set(fib_pairs.labels) != set(nl.rows):
+        raise ValueError("vector labels do not match the matrix rows")
+    inverse = nl.inverse_data()
+    substituted = {}
+    failed = {}
+    for row in nl.rows:
+        entry = fib_pairs.value(row)
+        substituted[row] = LaurentSeries.zero("u", u_order)
+        if not entry.is_zero:
             try:
-                rhs = substitute_q_minus_exp(entry, u_order)
+                substituted[row] = substitute_q_minus_exp(entry, u_order)
             except ArithmeticError as err:
-                failures.append((label, "substitution failed", str(err)))
-                continue
-        mismatch = lhs.first_difference(rhs, u_order)
+                failed[row] = err
+    if not failed and all(
+        fib_gw.value(row).first_difference(substituted[row], u_order) is None for row in nl.rows
+    ):
+        return TransferReport(True, ())
+    k3_gw = invert_correspondence(fib_gw, nl)
+    k3_pairs = invert_correspondence(InvariantVector(substituted), nl)
+    failures = []
+    for label, weights in zip(nl.cols, inverse):
+        bad = next((row for row, w in zip(nl.rows, weights) if w and row in failed), None)
+        if bad is not None:
+            failures.append((label, "substitution failed", f"fibre row {bad!r}: {failed[bad]}"))
+            continue
+        mismatch = k3_gw.value(label).first_difference(k3_pairs.value(label), u_order)
         if mismatch:
             failures.append((label, *mismatch))
     return TransferReport(not failures, tuple(failures))

@@ -336,6 +336,16 @@ def test_check_quick_inject_fault_fails_with_location(capsys):
     assert "injected fault" in out
 
 
+def test_check_quick_inject_fault_names_the_first_failing_k3_label(capsys):
+    code, out, _ = run_cli(capsys, "check", "--quick", "--inject-fault", "--format", "json")
+    assert code == 1
+    (nl,) = [c for c in json.loads(out)["checks"] if c["name"] == "nl-transfer"]
+    assert nl["detail"] == (
+        "injected fault; first failure at "
+        "(ClassLabel(m=1, h=0), 0, Fraction(1, 12), Fraction(83, 132))"
+    )
+
+
 @pytest.mark.parametrize("level, logged", [(None, False), ("debug", True)])
 def test_grid_timing_logged_only_under_kkv_log_debug(level, logged):
     env = {k: v for k, v in os.environ.items() if k != "KKV_LOG"}

@@ -14,6 +14,7 @@ from k3bps import (
     combine,
     invert_correspondence,
     mnop_check,
+    substitute_q_minus_exp,
     synthetic_k3_vectors,
     transfer_mnop,
 )
@@ -78,6 +79,21 @@ def test_singular_matrix_reports_rank():
             nl.inverse_data()
         assert exc.value.rank == 2
         assert exc.value.size == 3
+
+
+@pytest.mark.parametrize("rows, cols", [(("a", "b"), LABELS), (ROWS, LABELS[:2])])
+def test_non_square_matrix_has_no_inverse(rows, cols):
+    nl = NlMatrix(rows, cols, [[1] * len(cols) for _ in rows])
+    message = f"{len(rows)}x{len(cols)} NlMatrix has no inverse: only a square matrix does"
+    with pytest.raises(ValueError, match=message) as exc:
+        nl.inverse_data()
+    assert not isinstance(exc.value, SingularMatrixError)
+    fib_gw = InvariantVector({row: series(1) for row in rows})
+    fib_pairs = InvariantVector({row: RationalFunction.one() for row in rows})
+    with pytest.raises(ValueError, match=message):
+        invert_correspondence(fib_gw, nl)
+    with pytest.raises(ValueError, match=message):
+        transfer_mnop(fib_gw, fib_pairs, nl, 0)
 
 
 def _random_square(rng, n, kind):
@@ -227,3 +243,156 @@ def test_identity_matrix_reduces_transfer_to_pointwise_mnop(grid5):
         mnop_check(label.hodge_label(), grid5, 8).equal for label in LABELS
     )
     assert report.ok == pointwise is True
+
+
+def _k3_route_transfer(fib_gw, fib_pairs, nl, u_order):
+    """Oracle: the earlier transfer, which inverts both fibre vectors (the
+    pairs one over rational functions) and compares each recovered K3 label."""
+    k3_gw = invert_correspondence(fib_gw, nl)
+    k3_pairs = invert_correspondence(fib_pairs, nl)
+    failures = []
+    for label in nl.cols:
+        lhs = k3_gw.value(label)
+        entry = k3_pairs.value(label)
+        if getattr(entry, "is_zero", False):
+            rhs = LaurentSeries.zero("u", u_order)
+        else:
+            try:
+                rhs = substitute_q_minus_exp(entry, u_order)
+            except ArithmeticError as err:
+                failures.append((label, "substitution failed", str(err)))
+                continue
+        mismatch = lhs.first_difference(rhs, u_order)
+        if mismatch:
+            failures.append((label, *mismatch))
+    return not failures, tuple(failures)
+
+
+def _without_messages(failures):
+    return tuple(f[:2] if f[1] == "substitution failed" else f for f in failures)
+
+
+FOUR = LABELS + (ClassLabel(1, 2),)
+FOUR_ROWS = ROWS + ("b3",)
+
+
+def _bump(rng, symmetric):
+    j = rng.randint(0, 3) if symmetric else rng.randint(1, 3)
+    eps = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+    bump = RationalFunction.monomial(j, eps)
+    return bump + RationalFunction.monomial(-j, eps) if symmetric else bump
+
+
+def test_transfer_matches_the_k3_route_on_seeded_fibrations(grid5):
+    u_order = 10
+    gw_vec, pairs_vec = synthetic_k3_vectors(FOUR, grid5, u_order)
+    rng = Random(2022)
+    for case in range(300):
+        kind = case % 4  # consistent, symmetric, asymmetric, two asymmetric rows
+        nl = (
+            NlMatrix.random_invertible(FOUR_ROWS, FOUR, rng)
+            if case // 4 % 2
+            else NlMatrix.upper_triangular_unit(FOUR_ROWS, FOUR, rng)
+        )
+        fib_gw = combine(gw_vec, nl)
+        fib_pairs = combine(pairs_vec, nl)
+        bumped = rng.sample(FOUR_ROWS, 2 if kind == 3 else 1 if kind else 0)
+        for row in bumped:
+            fib_pairs = fib_pairs.replace(row, fib_pairs.value(row) + _bump(rng, kind == 1))
+        report = transfer_mnop(fib_gw, fib_pairs, nl, u_order)
+        ok, expected = _k3_route_transfer(fib_gw, fib_pairs, nl, u_order)
+        assert report.ok == ok == (kind == 0), case
+        got, want = _without_messages(report.failures), _without_messages(expected)
+        if got != want:
+            # the one documented difference: asymmetric parts of two bumped
+            # rows that cancel in a K3 label, which the K3 route compares
+            # and this route flags
+            assert kind == 3, case
+            flagged, compared = {f[0]: f for f in got}, {f[0]: f for f in want}
+            for label, weights in zip(nl.cols, nl.inverse_data()):
+                if flagged.get(label) != compared.get(label):
+                    assert flagged.get(label) == (label, "substitution failed"), case
+                    assert compared.get(label, (label, None))[1] != "substitution failed"
+                    assert all(weights[FOUR_ROWS.index(row)] for row in bumped), case
+
+
+def test_transfer_flags_a_label_where_asymmetric_rows_cancel(grid5):
+    # inverse rows (1, -1) and (0, 1): the same asymmetric bump on both fibre
+    # rows cancels in the first K3 label, which is still flagged, naming the
+    # first failed row it weighs
+    labels = LABELS[:2]
+    gw_vec, pairs_vec = synthetic_k3_vectors(labels, grid5, 8)
+    nl = NlMatrix(("r0", "r1"), labels, [[1, 1], [0, 1]])
+    fib_gw = combine(gw_vec, nl)
+    fib_pairs = combine(pairs_vec, nl)
+    bump = RationalFunction.monomial(2)
+    for row in nl.rows:
+        fib_pairs = fib_pairs.replace(row, fib_pairs.value(row) + bump)
+    report = transfer_mnop(fib_gw, fib_pairs, nl, 8)
+    assert [f[:2] for f in report.failures] == [
+        (labels[0], "substitution failed"),
+        (labels[1], "substitution failed"),
+    ]
+    assert report.failures[0][2].startswith("fibre row 'r0': coefficients not palindromic")
+    assert report.failures[1][2].startswith("fibre row 'r1': coefficients not palindromic")
+    ok, expected = _k3_route_transfer(fib_gw, fib_pairs, nl, 8)
+    assert not ok and [f[:2] for f in expected] == [(labels[1], "substitution failed")]
+
+
+def test_singular_matrix_raises_even_when_every_row_agrees(grid5):
+    gw_vec, pairs_vec = synthetic_k3_vectors(LABELS, grid5, 8)
+    nl = NlMatrix(ROWS, LABELS, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    with pytest.raises(SingularMatrixError):
+        transfer_mnop(combine(gw_vec, nl), combine(pairs_vec, nl), nl, 8)
+
+
+@pytest.mark.parametrize("side", ["gw", "pairs"])
+def test_transfer_rejects_a_label_mismatch_in_either_vector(grid5, side):
+    gw_vec, pairs_vec = synthetic_k3_vectors(LABELS, grid5, 8)
+    nl = NlMatrix.identity(LABELS)
+    fib = {"gw": combine(gw_vec, nl), "pairs": combine(pairs_vec, nl)}
+    fib[side] = InvariantVector(dict(zip(ROWS, fib[side].values.values())))
+    with pytest.raises(ValueError, match="labels"):
+        transfer_mnop(fib["gw"], fib["pairs"], nl, 8)
+
+
+def test_transfer_handles_a_zero_fibre_row_and_a_zero_k3_label(grid5):
+    gw_vec, pairs_vec = synthetic_k3_vectors(LABELS, grid5, 8)
+    # equal K3 data on the first two labels gives a zero first fibre row
+    gw_vec = gw_vec.replace(LABELS[0], gw_vec.value(LABELS[1]))
+    pairs_vec = pairs_vec.replace(LABELS[0], pairs_vec.value(LABELS[1]))
+    # and the third K3 label is zero on both sides
+    gw_vec = gw_vec.replace(LABELS[2], LaurentSeries.zero("u", 8))
+    pairs_vec = pairs_vec.replace(LABELS[2], RationalFunction.zero())
+    nl = NlMatrix(ROWS, LABELS, [[1, -1, 0], [0, 1, 2], [1, 0, 1]])
+    fib_gw = combine(gw_vec, nl)
+    fib_pairs = combine(pairs_vec, nl)
+    assert fib_pairs.value("b0").is_zero and fib_gw.value("b0").is_zero
+    report = transfer_mnop(fib_gw, fib_pairs, nl, 8)
+    assert report.ok and report.failures == ()
+    broken = fib_pairs.replace("b0", RationalFunction.monomial(0, 3))
+    report = transfer_mnop(fib_gw, broken, nl, 8)
+    assert (report.ok, report.failures) == _k3_route_transfer(fib_gw, broken, nl, 8)
+    assert not report.ok
+
+
+def test_transfer_does_no_rational_function_arithmetic(grid5, monkeypatch):
+    gw_vec, pairs_vec = synthetic_k3_vectors(LABELS, grid5, 8)
+    nl = NlMatrix.random_invertible(ROWS, LABELS, Random(7))
+    fib_gw = combine(gw_vec, nl)
+    fib_pairs = combine(pairs_vec, nl)
+    faulty = [
+        fib_pairs.replace("b1", fib_pairs.value("b1") + RationalFunction((1, 0, 1), (0, 1))),
+        fib_pairs.replace("b2", fib_pairs.value("b2") + RationalFunction.monomial(1)),
+    ]
+    expected = [_k3_route_transfer(fib_gw, broken, nl, 8) for broken in faulty]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("RationalFunction.linear_combination called")
+
+    monkeypatch.setattr(RationalFunction, "linear_combination", staticmethod(refuse))
+    assert transfer_mnop(fib_gw, fib_pairs, nl, 8).ok
+    for broken, (ok, failures) in zip(faulty, expected):
+        report = transfer_mnop(fib_gw, broken, nl, 8)
+        assert not report.ok and not ok
+        assert _without_messages(report.failures) == _without_messages(failures)
