@@ -140,6 +140,25 @@ def test_reciprocal_substitution_is_involutive():
     assert ratfn_eq(fn.reciprocal_substitution().reciprocal_substitution(), fn)
 
 
+@pytest.mark.parametrize(
+    "fn, text",
+    [
+        (RationalFunction((Fraction(1, 2), 0, -3, 1)), "1/2 - 3*q^2 + q^3"),
+        (RationalFunction((Fraction(-7, 3),)), "-7/3"),
+        (RationalFunction((0, -1)), "-q"),
+        (RationalFunction.zero(), "0"),
+        (FOOTNOTE, "(q)/(1 + 2*q + q^2)"),
+        (RationalFunction((1,), (2, 3)), "(1/3)/(2/3 + q)"),
+        (
+            RationalFunction((-1, Fraction(2, 3), 0, -1), (0, 0, 5, -1)),
+            "(1 - 2/3*q + q^3)/(-5*q^2 + q^3)",
+        ),
+    ],
+)
+def test_str_golden(fn, text):
+    assert str(fn) == text
+
+
 def test_monomial_and_pow():
     q = RationalFunction.monomial(1)
     assert q ** 3 == RationalFunction.monomial(3)

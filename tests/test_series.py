@@ -337,3 +337,28 @@ def test_first_difference_stops_at_through():
     assert a.first_difference(b, 3) == (3, 4, 5)
     with pytest.raises(ValueError, match="beyond the truncation"):
         a.first_difference(a, 4)
+
+
+@pytest.mark.parametrize(
+    "series, text",
+    [
+        (
+            LaurentSeries("u", -2, [1, 0, -1, Fraction(1, 2), 3, Fraction(-2, 3)], 4),
+            "u^-2 - 1 + 1/2*u + 3*u^2 - 2/3*u^3 + O(u^5)",
+        ),
+        (
+            LaurentSeries("q", -3, [-1, Fraction(-5, 7), 0, Fraction(-1, 2), -1, 1], 2),
+            "-q^-3 - 5/7*q^-2 - 1/2 - q + q^2 + O(q^3)",
+        ),
+        (
+            LaurentSeries("t", 0, [Fraction(3, 4), -2, 1, 0, Fraction(9, 2)], 6),
+            "3/4 - 2*t + t^2 + 9/2*t^4 + O(t^7)",
+        ),
+        (LaurentSeries("q", 1, [-1], 1), "-q + O(q^2)"),
+        (LaurentSeries("u", -1, [0, 0, 1], 3), "u + O(u^4)"),
+        (LaurentSeries.zero("q", 5), "0 + O(q^6)"),
+        (LaurentSeries.zero("u", -3), "0 + O(u^-2)"),
+    ],
+)
+def test_str_golden(series, text):
+    assert str(series) == text
