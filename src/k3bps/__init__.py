@@ -62,7 +62,6 @@ from .pairs import (
 from .rational import (
     RationalFunction,
     check_q_inversion_symmetry,
-    ratfn_eq,
     ratfn_expand,
 )
 from .scalars import GaussianRational, I
@@ -106,7 +105,6 @@ __all__ = [
     "mnop_check",
     "multiple_cover",
     "primitive_pairs_ratfn",
-    "ratfn_eq",
     "ratfn_expand",
     "sine_bracket",
     "substitute_q_minus_exp",

@@ -174,17 +174,11 @@ class BpsTable:
 
     Values are integers for honest BPS data; rational values are accepted so
     that the inverse transform can report non-integrality instead of failing.
-    ``square_labels`` optionally records, per grade, the square label h of the
-    class d*beta (kept as plain metadata).
     """
 
-    __slots__ = ("entries", "square_labels")
+    __slots__ = ("entries",)
 
-    def __init__(
-        self,
-        entries: Mapping[tuple[int, int], object],
-        square_labels: Mapping[int, int] | None = None,
-    ) -> None:
+    def __init__(self, entries: Mapping[tuple[int, int], object]) -> None:
         kept: dict[tuple[int, int], object] = {}
         for (g, d), value in entries.items():
             g, d = int(g), int(d)
@@ -199,9 +193,6 @@ class BpsTable:
             if value:
                 kept[(g, d)] = value
         object.__setattr__(self, "entries", kept)
-        object.__setattr__(
-            self, "square_labels", dict(square_labels) if square_labels is not None else None
-        )
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("BpsTable is immutable")
@@ -441,4 +432,4 @@ def bps_from_gw(potential: GwPotential, d_max: int) -> BpsTable:
         for g, (n, den) in enumerate(_x_coefficients(primitives[d])):
             if n:
                 entries[g, d] = Fraction(n, den * d**3 * scale)
-    return BpsTable(entries, square_labels=None)
+    return BpsTable(entries)

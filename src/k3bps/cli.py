@@ -6,9 +6,10 @@ yau-zaslow, gw, pairs only), pretty.
 Exit codes: 0 success, 1 identity/assertion failure, 2 usage error.
 A request whose KKV grid column or divisibility (gw and check --dmax, pairs
 and mnop-check --d) exceeds MAX_GRID_COLUMN, whose nl-demo --mmax exceeds
-MAX_NL_DIVISIBILITY, whose --umax exceeds MAX_U_ORDER, or whose yau-zaslow
---hmax exceeds MAX_YAU_ZASLOW_ORDER, is refused with exit 2 before any grid
-or series is built.
+MAX_NL_DIVISIBILITY, whose --umax exceeds MAX_U_ORDER, whose yau-zaslow
+--hmax exceeds MAX_YAU_ZASLOW_ORDER, whose pairs --qmax exceeds MAX_Q_ORDER,
+whose table --gmax exceeds MAX_GRID_COLUMN or whose check --cases exceeds
+MAX_CHECK_CASES, is refused with exit 2 before any grid or series is built.
 The KKV_LOG environment variable (debug/info/warning) controls verbosity.
 """
 
@@ -71,6 +72,15 @@ MAX_YAU_ZASLOW_ORDER = 5000
 # while `combine` builds the fibre pairs vector; the transfer that follows
 # sums no rational functions and takes about 0.01 s.
 MAX_NL_DIVISIBILITY = 20
+# Highest pairs --qmax.  The expansion about q = 0 inverts the denominator
+# series coefficient by coefficient on Fractions, so its cost grows about
+# quadratically: `pairs --d 14 --h 2 --qmax 8000 --format json` takes about
+# 3 s on the same host (0.4 s at 1000, 1.2 s at 4000), and every label up to
+# column 200 costs about the same.
+MAX_Q_ORDER = 8000
+# Highest check --cases.  The randomized suites are linear in it: `check
+# --cases 1000` takes about 1.9 s on the same host, 3.4 s with --umax 402.
+MAX_CHECK_CASES = 1000
 
 
 class UsageError(Exception):
@@ -146,9 +156,13 @@ def _grid_for_label(d: int, h: int):
 
 def cmd_table(args) -> int:
     _require(args.hmax >= 0, "--hmax must be >= 0")
+    column = _require_column(args.hmax, f"--hmax {args.hmax}")
     g_max = args.gmax if args.gmax is not None else args.hmax
-    _require(g_max >= 0, "--gmax must be >= 0")
-    grid = bps_grid_from_kkv(_require_column(args.hmax, f"--hmax {args.hmax}"))
+    # rows above --hmax are zero, and --hmax stops at MAX_GRID_COLUMN
+    _require(
+        0 <= g_max <= MAX_GRID_COLUMN, f"--gmax must be an integer from 0 to {MAX_GRID_COLUMN}"
+    )
+    grid = bps_grid_from_kkv(column)
     if args.format == "json":
         _emit_json(args, grid_to_jsonable(grid, g_max))
     elif args.format == "csv":
@@ -218,7 +232,9 @@ def cmd_gw(args) -> int:
 def cmd_pairs(args) -> int:
     _divisibility(args.d, "--d")
     _require(args.h >= 0, "--h must be >= 0")
-    _require(args.qmax >= 0, "--qmax must be >= 0")
+    _require(
+        0 <= args.qmax <= MAX_Q_ORDER, f"--qmax must be an integer from 0 to {MAX_Q_ORDER}"
+    )
     grid = _grid_for_label(args.d, args.h)
     fn = multiple_cover(HodgeLabel(args.d, args.h), grid)
     expansion = ratfn_expand(fn, args.qmax)
@@ -347,7 +363,10 @@ def cmd_check(args) -> int:
     _even_order(args.umax, "--umax")
     _divisibility(args.dmax, "--dmax")
     _require(args.hmax >= 0, "--hmax must be >= 0")
-    _require(args.cases >= 1, "--cases must be >= 1")
+    _require(
+        1 <= args.cases <= MAX_CHECK_CASES,
+        f"--cases must be an integer from 1 to {MAX_CHECK_CASES}",
+    )
     if args.quick:
         bounds = dict(
             u_order=min(args.umax, 8),

@@ -85,7 +85,6 @@ def table_to_jsonable(table: BpsTable) -> dict:
             {"g": g, "d": d, "value": scalar_to_str(v)}
             for (g, d), v in sorted(table.entries.items())
         ],
-        "square_labels": table.square_labels,
     }
 
 
@@ -93,10 +92,7 @@ def table_from_jsonable(obj: dict) -> BpsTable:
     entries = {
         (int(e["g"]), int(e["d"])): scalar_from_str(e["value"]) for e in obj["entries"]
     }
-    squares = obj.get("square_labels")
-    if squares is not None:
-        squares = {int(k): int(v) for k, v in squares.items()}
-    return BpsTable(entries, square_labels=squares)
+    return BpsTable(entries)
 
 
 def potential_to_jsonable(potential: GwPotential) -> dict:

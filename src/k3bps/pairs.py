@@ -322,11 +322,9 @@ def bps_table_from_grid(grid: KkvBpsGrid, d_max: int, h: int) -> BpsTable:
     """BPS table over grades 1..d_max for multiples of a primitive class
     with square label h, populated from the KKV grid by square."""
     entries: dict[tuple[int, int], int] = {}
-    squares: dict[int, int] = {}
     label = HodgeLabel(1, h)
     for grade in range(1, d_max + 1):
         hd = label.square_label(grade)
-        squares[grade] = hd
         if hd < 0:
             continue
         if hd > grid.h_max:
@@ -337,7 +335,7 @@ def bps_table_from_grid(grid: KkvBpsGrid, d_max: int, h: int) -> BpsTable:
             value = grid.value(g, hd)
             if value:
                 entries[(g, grade)] = value
-    return BpsTable(entries, square_labels=squares)
+    return BpsTable(entries)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@
 
 A function is stored as its unique integer pair (num, den): the two
 polynomials are coprime over Q, the coefficients of both taken together have
-gcd 1, and den has a positive leading coefficient.  Equality is structural
-comparison of that pair, which the identity checks rely on.  The public
-``numerator`` and ``denominator`` are the monic view of the same pair, tuples
-of Fractions divided by the leading coefficient of den.  Expansion about
-q = 0 returns a truncated Laurent series; the q <-> 1/q inversion check
-compares a function with its reciprocal substitution, built in canonical
-form without a gcd.
+gcd 1, and den has a positive leading coefficient.  ``==`` is structural
+comparison of that pair, the one equality, which the identity checks rely on.
+``** -1`` is the one inverse (there is no ``/``), and the one composition is
+the multiple-cover change of variable q -> +-q^k.  The public ``numerator``
+and ``denominator`` are the monic view of the same pair, tuples of Fractions
+divided by the leading coefficient of den.  Expansion about q = 0 returns a
+truncated Laurent series; the q <-> 1/q inversion check compares a function
+with its reciprocal substitution, built in canonical form without a gcd.
 
 All polynomial arithmetic is in the integers.  Reduction (a polynomial gcd
 and two exact divisions) is the expensive step.  The gcd is primitive, and
@@ -35,8 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .scalars import as_fraction
-from .series import LaurentSeries, _exact
+from .series import LaurentSeries, _exact, _poly_str
 
 Poly = tuple
 
@@ -109,13 +109,12 @@ def _peval(p: Poly, x):
     return acc
 
 
-def _pcompose_scaled_power(p: Poly, top: int, scale: Fraction, power: int) -> Poly:
-    """b^top p(a/b q**power) for scale = a/b, an integer polynomial for top >= deg p."""
+def _pspread(p: Poly, scale: int, power: int) -> Poly:
+    """p(scale * q**power) for scale = +-1: c_j moves to j * power, times scale**j."""
     out = [0] * ((len(p) - 1) * power + 1)
-    a, b = scale.numerator, scale.denominator
-    for j, c in enumerate(p):
-        if c:
-            out[j * power] = c * a**j * b ** (top - j)
+    out[::power] = p
+    if scale < 0:
+        out[power :: 2 * power] = [-c for c in p[1::2]]
     return tuple(out)
 
 
@@ -166,7 +165,7 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
 def _scalars(value) -> list:
     if isinstance(value, (int, Fraction)):
         value = (value,)
-    return [c if type(c) is int else as_fraction(c) for c in value]
+    return [_exact(c) for c in value]
 
 
 def _integral(numerator, denominator) -> tuple[Poly, Poly]:
@@ -187,26 +186,6 @@ def _reduced(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         if len(g) > 1:
             return _pexact_div(num, g), _pexact_div(den, g)
     return num, den
-
-
-def _poly_str(p: Sequence[Fraction], variable: str = "q") -> str:
-    if not p:
-        return "0"
-    parts = []
-    for deg, c in enumerate(p):
-        if not c:
-            continue
-        if deg == 0:
-            parts.append(str(c))
-        else:
-            power = variable if deg == 1 else f"{variable}^{deg}"
-            if c == 1:
-                parts.append(power)
-            elif c == -1:
-                parts.append(f"-{power}")
-            else:
-                parts.append(f"{c}*{power}")
-    return " + ".join(parts).replace("+ -", "- ")
 
 
 # -- rational functions --------------------------------------------------------
@@ -377,21 +356,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        num, den = _reduced(_pmul(self._num, other._den), _pmul(self._den, other._num))
-        return RationalFunction._from_coprime(num, den)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, exponent: int) -> "RationalFunction":
         if not isinstance(exponent, int):
             raise TypeError("exponent must be an int")
@@ -405,20 +369,17 @@ class RationalFunction:
 
     # -- substitutions ----------------------------------------------------------
 
-    def substitute_scaled_power(self, scale, power: int) -> "RationalFunction":
-        """The composition q -> scale * q**power, exact on canonical forms."""
-        scale = as_fraction(scale)
-        if not scale:
-            raise ValueError("scale must be nonzero")
+    def substitute_scaled_power(self, scale: int, power: int) -> "RationalFunction":
+        """The composition q -> scale * q**power for scale = +-1 and power >= 1,
+        the change of variable of a multiple cover."""
+        if _exact(scale) not in (1, -1):
+            raise ValueError("scale must be 1 or -1")
         if power < 1:
             raise ValueError("power must be >= 1")
         # Composition with a nonzero monomial preserves coprimality: a common
         # root of the composites would map to a common root of num and den.
-        # Both sides are scaled by the denominator of scale to the top degree.
-        top = max(len(self._num), len(self._den)) - 1
         return RationalFunction._from_coprime(
-            _pcompose_scaled_power(self._num, top, scale, power),
-            _pcompose_scaled_power(self._den, top, scale, power),
+            _pspread(self._num, scale, power), _pspread(self._den, scale, power)
         )
 
     def reciprocal_substitution(self) -> "RationalFunction":
@@ -461,11 +422,6 @@ class RationalFunction:
 
 
 # -- the module-level operations -------------------------------------------------
-
-
-def ratfn_eq(a: RationalFunction, b: RationalFunction) -> bool:
-    """Equality by cross-multiplication (canonical forms make this structural)."""
-    return _pmul(a._num, b._den) == _pmul(b._num, a._den)
 
 
 def ratfn_expand(a: RationalFunction, order: int) -> LaurentSeries:

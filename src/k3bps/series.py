@@ -35,6 +35,22 @@ def _exact(value):
     return value if isinstance(value, int) else as_fraction(value)
 
 
+def _poly_str(coefficients: Sequence, variable: str = "q", start: int = 0) -> str:
+    """The terms c * variable^(start + k) of the nonzero coefficients, or "0"."""
+    parts = []
+    for deg, c in enumerate(coefficients, start):
+        if not c:
+            continue
+        power = variable if deg == 1 else f"{variable}^{deg}"
+        if deg == 0:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(power if c == 1 else f"-{power}")
+        else:
+            parts.append(f"{c}*{power}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 class LaurentSeries:
     """A truncated Laurent series ``sum(c_k * x**k for min_degree <= k <= truncation_order)``."""
 
@@ -338,20 +354,8 @@ class LaurentSeries:
         top = min(self.truncation_order, other.truncation_order)
         return self.first_difference(other, top if through is None else min(top, through)) is None
 
-    def _term_str(self, degree: int, coeff) -> str:
-        x = self.variable
-        if degree == 0:
-            return str(coeff)
-        power = x if degree == 1 else f"{x}^{degree}"
-        if coeff == 1:
-            return power
-        if coeff == -1:
-            return f"-{power}"
-        return f"{coeff}*{power}"
-
     def __str__(self) -> str:
-        terms = [self._term_str(d, c) for d, c in self.items() if c]
-        body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
+        body = _poly_str(self.coefficients, self.variable, self.min_degree)
         return f"{body} + O({self.variable}^{self.truncation_order + 1})"
 
     def __repr__(self) -> str:

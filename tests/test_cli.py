@@ -252,6 +252,73 @@ def test_yau_zaslow_order_at_limit_is_allowed(monkeypatch):
         main(["yau-zaslow", "--hmax", "5000"])
 
 
+def _no_expansion(fn, order):
+    raise AssertionError(f"asked to expand to q^{order}")
+
+
+def _no_checks(**bounds):
+    raise AssertionError(f"asked to run the checks with {bounds['cases']} cases")
+
+
+@pytest.mark.parametrize(
+    "argv, values, message",
+    [
+        (
+            ["pairs", "--d", "14", "--h", "2", "--qmax"],
+            ("8001", "100000", "-1"),
+            "--qmax must be an integer from 0 to 8000",
+        ),
+        (
+            ["table", "--hmax", "1", "--gmax"],
+            ("201", "100000", "-1"),
+            "--gmax must be an integer from 0 to 200",
+        ),
+        (
+            ["check", "--cases"],
+            ("1001", "100000", "0"),
+            "--cases must be an integer from 1 to 1000",
+        ),
+    ],
+)
+def test_work_bound_above_limit_is_refused_up_front(capsys, monkeypatch, argv, values, message):
+    monkeypatch.setattr("k3bps.cli.bps_grid_from_kkv", _no_grid)
+    monkeypatch.setattr("k3bps.cli.checks.run_all", _no_checks)
+    for value in values:
+        code, out, err = run_cli(capsys, *argv, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_work_bound_at_limit_is_allowed(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "table", "--hmax", "1", "--gmax", "200", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == "200,0,0"
+    monkeypatch.setattr("k3bps.cli.ratfn_expand", _no_expansion)
+    with pytest.raises(AssertionError, match="to q\\^8000$"):
+        main(["pairs", "--d", "14", "--h", "2", "--qmax", "8000"])
+    monkeypatch.setattr("k3bps.cli.checks.run_all", _no_checks)
+    with pytest.raises(AssertionError, match="with 1000 cases$"):
+        main(["check", "--cases", "1000"])
+
+
+@pytest.mark.parametrize(
+    "constant, argv, lowest",
+    [
+        ("MAX_Q_ORDER", ["pairs", "--d", "2", "--h", "1", "--qmax"], 0),
+        ("MAX_GRID_COLUMN", ["table", "--hmax", "2", "--gmax"], 0),
+        ("MAX_CHECK_CASES", ["check", "--quick", "--cases"], 1),
+    ],
+)
+def test_work_bound_follows_its_constant(capsys, monkeypatch, constant, argv, lowest):
+    monkeypatch.setattr(f"k3bps.cli.{constant}", 3)
+    assert run_cli(capsys, *argv, "3")[0] == 0
+    code, out, err = run_cli(capsys, *argv, "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[-1]} must be an integer from {lowest} to 3\n"
+
+
 def test_nl_demo_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "nl-demo", "--seed", "9", "--format", "json")
     code2, out2, _ = run_cli(capsys, "nl-demo", "--seed", "9", "--format", "json")

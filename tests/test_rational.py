@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from k3bps import (
     RationalFunction,
     check_q_inversion_symmetry,
-    ratfn_eq,
     ratfn_expand,
 )
 from k3bps.jsonio import ratfn_from_jsonable, ratfn_to_jsonable
@@ -99,11 +98,10 @@ def test_zero_denominator_rejected():
 
 
 def test_ratfn_eq_examples():
-    assert ratfn_eq(FOOTNOTE, FOOTNOTE)
+    assert FOOTNOTE == FOOTNOTE
     with_common_factor = RationalFunction((0, 1, 1), (1, 3, 3, 1))  # (q^2+q)/(1+q)^3
-    assert ratfn_eq(FOOTNOTE, with_common_factor)
     assert with_common_factor == FOOTNOTE
-    assert not ratfn_eq(RationalFunction((0, 1)), RationalFunction((0, 0, 1)))
+    assert RationalFunction((0, 1)) != RationalFunction((0, 0, 1))
 
 
 def test_expand_footnote_series():
@@ -137,7 +135,7 @@ def test_inversion_symmetry_examples():
 
 def test_reciprocal_substitution_is_involutive():
     fn = RationalFunction((1, 2, 0, 5), (0, 0, 1, 7))
-    assert ratfn_eq(fn.reciprocal_substitution().reciprocal_substitution(), fn)
+    assert fn.reciprocal_substitution().reciprocal_substitution() == fn
 
 
 @pytest.mark.parametrize(
@@ -171,6 +169,27 @@ def test_substitute_scaled_power():
     composed = FOOTNOTE.substitute_scaled_power(-1, 2)
     expected = RationalFunction((0, 0, -1), (1, 0, -2, 0, 1))
     assert composed == expected
+    # q -> q^3 inside q/(1+q)^2 gives q^3/(1+q^3)^2
+    assert FOOTNOTE.substitute_scaled_power(1, 3) == RationalFunction(
+        (0, 0, 0, 1), (1, 0, 0, 2, 0, 0, 1)
+    )
+
+
+@pytest.mark.parametrize("scale, power", [(2, 1), (0, 1), (Fraction(-1, 2), 1), (1, 0), (-1, 0)])
+def test_substitute_scaled_power_rejects_other_changes_of_variable(scale, power):
+    with pytest.raises(ValueError):
+        FOOTNOTE.substitute_scaled_power(scale, power)
+
+
+@given(ratfns, st.sampled_from((1, -1)), st.integers(min_value=1, max_value=4))
+def test_substitute_scaled_power_matches_expansion(a, scale, power):
+    # the series of a(scale * q^power) is the series of a with x^n -> scale^n q^(n*power)
+    order = 6
+    series = ratfn_expand(a, order)
+    coefficients = {n * power: scale ** abs(n) * c for n, c in series.items() if c}
+    composed = ratfn_expand(a.substitute_scaled_power(scale, power), order * power)
+    for degree in range(composed.min_degree, order * power + 1):
+        assert composed.coefficient(degree) == coefficients.get(degree, 0)
 
 
 def test_evaluate_exact():
@@ -199,7 +218,8 @@ def test_cross_multiplication_agrees_with_canonical_equality(a):
     doubled = RationalFunction(
         tuple(2 * c for c in a.numerator), tuple(2 * c for c in a.denominator)
     )
-    assert ratfn_eq(a, doubled)
+    (an, ad), (bn, bd) = a.integer_pair, doubled.integer_pair
+    assert _pmul(an, bd) == _pmul(bn, ad)
     assert a == doubled
 
 
