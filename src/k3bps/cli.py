@@ -16,12 +16,12 @@ The KKV_LOG environment variable (debug/info/warning) controls verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import logging
 import os
 import sys
+from csv import writer as csv_writer
 from random import Random
 
 from . import checks
@@ -45,7 +45,7 @@ from .pairs import (
     multiple_cover,
     substitution_work_order,
 )
-from .rational import check_q_inversion_symmetry, ratfn_expand
+from .rational import ratfn_expand
 
 log = logging.getLogger("k3bps")
 
@@ -92,6 +92,15 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def _in_range(value: int, flag: str, lo: int, hi: int, note: str = "") -> None:
+    _require(lo <= value <= hi, f"{flag} must be an integer from {lo} to {hi}{note}")
+
+
+def _class_bounds(d: int, d_flag: str, h: int, h_flag: str, d_max: int) -> None:
+    _in_range(d, d_flag, 1, d_max, ", the divisibility bound")
+    _require(h >= 0, f"{h_flag} must be >= 0")
+
+
 def _even_order(value: int, flag: str) -> None:
     _require(
         2 <= value <= MAX_U_ORDER and value % 2 == 0,
@@ -99,44 +108,30 @@ def _even_order(value: int, flag: str) -> None:
     )
 
 
-def _divisibility(value: int, flag: str, limit: int = MAX_GRID_COLUMN) -> None:
-    _require(
-        1 <= value <= limit,
-        f"{flag} must be an integer from 1 to {limit}, the divisibility bound",
-    )
-
-
-def _no_csv(args) -> None:
-    _require(args.format != "csv", f"{args.command} supports --format json or pretty, not csv")
-
-
-def _write(args, text: str) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-        log.info("wrote %s", args.out)
+def _emit(args, payload, pretty, csv=None) -> None:
+    """Build and write the one form --format asks for, from thunks giving the
+    JSON value, the pretty lines or the csv rows (header first)."""
+    if args.format == "json":
+        text = json.dumps(payload(), indent=2) + "\n"
+    elif args.format == "csv":
+        buffer = io.StringIO()
+        csv_writer(buffer).writerows(csv())
+        text = buffer.getvalue()
     else:
+        text = "\n".join(pretty()) + "\n"
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+    log.info("wrote %s", args.out)
 
 
-def _emit_json(args, payload) -> None:
-    _write(args, json.dumps(payload, indent=2) + "\n")
-
-
-def _emit_csv(args, header, rows) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    if header:
-        writer.writerow(header)
-    writer.writerows(rows)
-    _write(args, buffer.getvalue())
-
-
-def _emit_pretty(args, lines) -> None:
-    _write(args, "\n".join(lines) + "\n")
+def _series_rows(series) -> list[list]:
+    return [["degree", "coefficient"]] + [[d, str(c)] for d, c in series.items()]
 
 
 def _require_column(column: int, what: str) -> int:
@@ -147,8 +142,8 @@ def _require_column(column: int, what: str) -> int:
     return column
 
 
-def _grid_for_label(d: int, h: int):
-    return bps_grid_from_kkv(_require_column(grid_column(d, h), f"(d={d}, h={h})"))
+def _grid_for_label(d: int, h: int, d_name: str = "d"):
+    return bps_grid_from_kkv(_require_column(grid_column(d, h), f"({d_name}={d}, h={h})"))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -159,53 +154,38 @@ def cmd_table(args) -> int:
     column = _require_column(args.hmax, f"--hmax {args.hmax}")
     g_max = args.gmax if args.gmax is not None else args.hmax
     # rows above --hmax are zero, and --hmax stops at MAX_GRID_COLUMN
-    _require(
-        0 <= g_max <= MAX_GRID_COLUMN, f"--gmax must be an integer from 0 to {MAX_GRID_COLUMN}"
+    _in_range(g_max, "--gmax", 0, MAX_GRID_COLUMN)
+    table = grid_to_jsonable(bps_grid_from_kkv(column), g_max)
+    cells = table["values"]  # rows by genus, columns by h, in every form
+    width = max(len(cell) for row in cells for cell in row)
+    _emit(
+        args,
+        lambda: table,
+        lambda: ["BPS counts n_(g,h), rows by genus g, columns by h:"]
+        + [
+            f"  g={g}: " + "  ".join(cell.rjust(width) for cell in row)
+            for g, row in enumerate(cells)
+        ],
+        lambda: [["g\\h"] + [str(h) for h in range(args.hmax + 1)]]
+        + [[str(g)] + row for g, row in enumerate(cells)],
     )
-    grid = bps_grid_from_kkv(column)
-    if args.format == "json":
-        _emit_json(args, grid_to_jsonable(grid, g_max))
-    elif args.format == "csv":
-        header = ["g\\h"] + [str(h) for h in range(args.hmax + 1)]
-        rows = [
-            [str(g)] + [str(grid.value(g, h)) for h in range(args.hmax + 1)]
-            for g in range(g_max + 1)
-        ]
-        _emit_csv(args, header, rows)
-    else:
-        width = max(
-            len(str(grid.value(g, h)))
-            for g in range(g_max + 1)
-            for h in range(args.hmax + 1)
-        )
-        lines = ["BPS counts n_(g,h), rows by genus g, columns by h:"]
-        for g in range(g_max + 1):
-            cells = [str(grid.value(g, h)).rjust(width) for h in range(args.hmax + 1)]
-            lines.append(f"  g={g}: " + "  ".join(cells))
-        _emit_pretty(args, lines)
     return EXIT_OK
 
 
 def cmd_yau_zaslow(args) -> int:
-    _require(
-        0 <= args.hmax <= MAX_YAU_ZASLOW_ORDER,
-        f"--hmax must be an integer from 0 to {MAX_YAU_ZASLOW_ORDER}",
-    )
+    _in_range(args.hmax, "--hmax", 0, MAX_YAU_ZASLOW_ORDER)
     series = yau_zaslow_series(args.hmax)
-    if args.format == "json":
-        _emit_json(args, series_to_jsonable(series))
-    elif args.format == "csv":
-        _emit_csv(
-            args, ["degree", "coefficient"], [[d, str(c)] for d, c in series.items()]
-        )
-    else:
-        _emit_pretty(args, ["prod (1-q^n)^-24 = " + str(series)])
+    _emit(
+        args,
+        lambda: series_to_jsonable(series),
+        lambda: ["prod (1-q^n)^-24 = " + str(series)],
+        lambda: _series_rows(series),
+    )
     return EXIT_OK
 
 
 def cmd_gw(args) -> int:
-    _divisibility(args.dmax, "--dmax")
-    _require(args.h >= 0, "--h must be >= 0")
+    _class_bounds(args.dmax, "--dmax", args.h, "--h", MAX_GRID_COLUMN)
     if args.umax is not None:
         _even_order(args.umax, "--umax")
     if args.single_state:
@@ -214,72 +194,59 @@ def cmd_gw(args) -> int:
         grid = _grid_for_label(args.dmax, args.h)
         table = bps_table_from_grid(grid, args.dmax, args.h)
     potential = gw_from_bps(table, args.dmax, args.umax)
-    if args.format == "json":
-        _emit_json(args, potential_to_jsonable(potential))
-    elif args.format == "csv":
-        rows = [[g, d, str(v)] for (g, d), v in sorted(potential.entries.items())]
-        _emit_csv(args, ["g", "d", "value"], rows)
-    else:
-        lines = [f"Gromov-Witten potential, u-truncation {potential.u_truncation}:"]
-        for (g, d), v in sorted(potential.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            lines.append(f"  N_(g={g}, d={d}) = {v}")
-        if not potential.entries:
-            lines.append("  (zero potential)")
-        _emit_pretty(args, lines)
+    entries = sorted(potential.entries.items())
+
+    _emit(
+        args,
+        lambda: potential_to_jsonable(potential),
+        lambda: [f"Gromov-Witten potential, u-truncation {potential.u_truncation}:"]
+        + [
+            f"  N_(g={g}, d={d}) = {v}"
+            for (g, d), v in sorted(entries, key=lambda kv: (kv[0][1], kv[0][0]))
+        ]
+        + ([] if entries else ["  (zero potential)"]),
+        lambda: [["g", "d", "value"]] + [[g, d, str(v)] for (g, d), v in entries],
+    )
     return EXIT_OK
 
 
 def cmd_pairs(args) -> int:
-    _divisibility(args.d, "--d")
-    _require(args.h >= 0, "--h must be >= 0")
-    _require(
-        0 <= args.qmax <= MAX_Q_ORDER, f"--qmax must be an integer from 0 to {MAX_Q_ORDER}"
-    )
+    _class_bounds(args.d, "--d", args.h, "--h", MAX_GRID_COLUMN)
+    _in_range(args.qmax, "--qmax", 0, MAX_Q_ORDER)
     grid = _grid_for_label(args.d, args.h)
     fn = multiple_cover(HodgeLabel(args.d, args.h), grid)
     expansion = ratfn_expand(fn, args.qmax)
-    symmetric = check_q_inversion_symmetry(fn) if args.check_symmetry else None
-    if args.format == "json":
-        payload = {
+    _emit(
+        args,
+        lambda: {
             "d": args.d,
             "h": args.h,
             "function": ratfn_to_jsonable(fn),
             "expansion": series_to_jsonable(expansion),
-        }
-        if symmetric is not None:
-            payload["symmetric"] = symmetric
-        _emit_json(args, payload)
-    elif args.format == "csv":
-        _emit_csv(
-            args, ["degree", "coefficient"], [[d, str(c)] for d, c in expansion.items()]
-        )
-    else:
-        lines = [
+        },
+        lambda: [
             f"stable pairs series for d={args.d}, h={args.h}:",
             f"  function:  {fn}",
             f"  expansion: {expansion}",
-        ]
-        if symmetric is not None:
-            lines.append(f"  symmetric under q <-> 1/q: {symmetric}")
-        _emit_pretty(args, lines)
+        ],
+        lambda: _series_rows(expansion),
+    )
     return EXIT_OK
 
 
 def cmd_mnop_check(args) -> int:
-    _no_csv(args)
-    _divisibility(args.d, "--d")
-    _require(args.h >= 0, "--h must be >= 0")
+    _class_bounds(args.d, "--d", args.h, "--h", MAX_GRID_COLUMN)
     _even_order(args.umax, "--umax")
     grid = _grid_for_label(args.d, args.h)
     ledger = PairsLedger(grid)
     report = mnop_check(HodgeLabel(args.d, args.h), grid, args.umax, ledger)
-    if args.format == "json":
-        work_order = substitution_work_order(ledger.imprimitive(args.d, args.h), args.umax)
+
+    def payload() -> dict:
         payload = {
             "d": args.d,
             "h": args.h,
             "u_order": args.umax,
-            "work_order": work_order,
+            "work_order": substitution_work_order(ledger.imprimitive(args.d, args.h), args.umax),
             "equal": report.equal,
             "gw_series": series_to_jsonable(report.lhs),
             "pairs_series": series_to_jsonable(report.rhs),
@@ -287,8 +254,9 @@ def cmd_mnop_check(args) -> int:
         if report.first_mismatch:
             degree, a, b = report.first_mismatch
             payload["first_mismatch"] = {"degree": degree, "gw": str(a), "pairs": str(b)}
-        _emit_json(args, payload)
-    else:
+        return payload
+
+    def pretty() -> list[str]:
         lines = [
             f"local MNOP check at d={args.d}, h={args.h}, u-order {args.umax}:",
             f"  GW side:    {report.lhs}",
@@ -298,7 +266,9 @@ def cmd_mnop_check(args) -> int:
         if report.first_mismatch:
             degree, a, b = report.first_mismatch
             lines.append(f"  first mismatch at u^{degree}: {a} vs {b}")
-        _emit_pretty(args, lines)
+        return lines
+
+    _emit(args, payload, pretty)
     return EXIT_OK if report.equal else EXIT_FAIL
 
 
@@ -313,60 +283,44 @@ def _demo_labels(m_max: int, h_max: int) -> list[ClassLabel]:
 
 
 def cmd_nl_demo(args) -> int:
-    _no_csv(args)
-    _divisibility(args.mmax, "--mmax", MAX_NL_DIVISIBILITY)
-    _require(args.hmax >= 0, "--hmax must be >= 0")
+    _class_bounds(args.mmax, "--mmax", args.hmax, "--hmax", MAX_NL_DIVISIBILITY)
     _even_order(args.umax, "--umax")
-    need = _require_column(
-        grid_column(args.mmax, args.hmax), f"(m={args.mmax}, h={args.hmax})"
-    )
+    grid = _grid_for_label(args.mmax, args.hmax, "m")
     rng = Random(args.seed)
     labels = _demo_labels(args.mmax, args.hmax)
-    grid = bps_grid_from_kkv(need)
     ledger = PairsLedger(grid)
     gw_vec, pairs_vec = synthetic_k3_vectors(labels, grid, args.umax, ledger)
     rows = [f"beta{i}" for i in range(len(labels))]
-    if args.triangular:
-        nl = NlMatrix.upper_triangular_unit(rows, labels, rng)
-    else:
-        nl = NlMatrix.random_invertible(rows, labels, rng)
+    make = NlMatrix.upper_triangular_unit if args.triangular else NlMatrix.random_invertible
+    nl = make(rows, labels, rng)
     fib_gw = combine(gw_vec, nl)
     fib_pairs = combine(pairs_vec, nl)
     report = transfer_mnop(fib_gw, fib_pairs, nl, args.umax)
-    if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "labels": [[lab.m, lab.h] for lab in labels],
-                "matrix": matrix_to_jsonable(nl),
-                "fibre_gw": vector_to_jsonable(fib_gw),
-                "fibre_pairs": vector_to_jsonable(fib_pairs),
-                "transfer_ok": report.ok,
-                "failures": [str(f) for f in report.failures],
-            },
-        )
-    else:
-        lines = [
+    _emit(
+        args,
+        lambda: {
+            "labels": [[lab.m, lab.h] for lab in labels],
+            "matrix": matrix_to_jsonable(nl),
+            "fibre_gw": vector_to_jsonable(fib_gw),
+            "fibre_pairs": vector_to_jsonable(fib_pairs),
+            "transfer_ok": report.ok,
+            "failures": [str(f) for f in report.failures],
+        },
+        lambda: [
             f"synthetic K3 fibration over {len(labels)} classes "
             f"(seed {args.seed}, {'triangular' if args.triangular else 'random'} matrix):",
             "  labels: " + ", ".join(f"(m={lab.m}, h={lab.h})" for lab in labels),
             f"  transfer of the MNOP identity: {'consistent' if report.ok else 'FAILED'}",
         ]
-        for failure in report.failures:
-            lines.append(f"  failure: {failure}")
-        _emit_pretty(args, lines)
+        + [f"  failure: {failure}" for failure in report.failures],
+    )
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def cmd_check(args) -> int:
-    _no_csv(args)
     _even_order(args.umax, "--umax")
-    _divisibility(args.dmax, "--dmax")
-    _require(args.hmax >= 0, "--hmax must be >= 0")
-    _require(
-        1 <= args.cases <= MAX_CHECK_CASES,
-        f"--cases must be an integer from 1 to {MAX_CHECK_CASES}",
-    )
+    _class_bounds(args.dmax, "--dmax", args.hmax, "--hmax", MAX_GRID_COLUMN)
+    _in_range(args.cases, "--cases", 1, MAX_CHECK_CASES)
     if args.quick:
         bounds = dict(
             u_order=min(args.umax, 8),
@@ -387,27 +341,24 @@ def cmd_check(args) -> int:
         f"the MNOP sweep to (d={bounds['mnop_d_max']}, h={bounds['mnop_h_max']})",
     )
     results = checks.run_all(seed=args.seed, inject_fault=args.inject_fault, **bounds)
-    lines = [result.line() for result in results]
     failed = [result for result in results if not result.ok]
-    lines.append(
-        f"{len(results) - len(failed)}/{len(results)} checks passed"
-        + (f"; first failure: {failed[0].name}" if failed else "")
+    cache = sine_bracket_cache_info()
+    _emit(
+        args,
+        lambda: {
+            "ok": not failed,
+            "checks": [
+                {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
+                for r in results
+            ],
+            "caches": {"sine_bracket": {"hits": cache.hits, "misses": cache.misses}},
+        },
+        lambda: [result.line() for result in results]
+        + [
+            f"{len(results) - len(failed)}/{len(results)} checks passed"
+            + (f"; first failure: {failed[0].name}" if failed else "")
+        ],
     )
-    if args.format == "json":
-        cache = sine_bracket_cache_info()
-        _emit_json(
-            args,
-            {
-                "ok": not failed,
-                "checks": [
-                    {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
-                    for r in results
-                ],
-                "caches": {"sine_bracket": {"hits": cache.hits, "misses": cache.misses}},
-            },
-        )
-    else:
-        _emit_pretty(args, lines)
     return EXIT_OK if not failed else EXIT_FAIL
 
 
@@ -426,20 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", parents=[common], help="emit the BPS grid n_(g,h)")
+    def command(name: str, func, help_text: str, csv: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(func=func, csv=csv)
+        return p
+
+    p = command("table", cmd_table, "emit the BPS grid n_(g,h)", csv=True)
     p.add_argument("--hmax", type=int, default=4)
     p.add_argument("--gmax", type=int, default=None)
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser(
-        "yau-zaslow", parents=[common], help="emit the genus-0 series prod (1-q^n)^-24"
-    )
+    p = command("yau-zaslow", cmd_yau_zaslow, "emit the genus-0 series prod (1-q^n)^-24", csv=True)
     p.add_argument("--hmax", type=int, default=10)
-    p.set_defaults(func=cmd_yau_zaslow)
 
-    p = sub.add_parser(
-        "gw", parents=[common], help="emit the Gromov-Witten potential of a BPS table"
-    )
+    p = command("gw", cmd_gw, "emit the Gromov-Witten potential of a BPS table", csv=True)
     p.add_argument("--h", type=int, default=0, help="square label of the primitive class")
     p.add_argument("--dmax", type=int, default=3)
     p.add_argument("--umax", type=int, default=None)
@@ -448,34 +398,25 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the one-state table of an isolated rational curve instead of KKV data",
     )
-    p.set_defaults(func=cmd_gw)
 
-    p = sub.add_parser("pairs", parents=[common], help="emit a stable-pairs rational function")
+    p = command("pairs", cmd_pairs, "emit a stable-pairs rational function", csv=True)
     p.add_argument("--h", type=int, default=0, help="square label of the primitive class")
     p.add_argument("--d", type=int, default=1, help="divisibility of the class")
     p.add_argument("--qmax", type=int, default=10, help="expansion order about q = 0")
-    p.add_argument("--check-symmetry", action="store_true")
-    p.set_defaults(func=cmd_pairs)
 
-    p = sub.add_parser(
-        "mnop-check", parents=[common], help="compare the GW and pairs sides at one class"
-    )
+    p = command("mnop-check", cmd_mnop_check, "compare the GW and pairs sides at one class")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--h", type=int, default=0)
     p.add_argument("--umax", type=int, default=12)
-    p.set_defaults(func=cmd_mnop_check)
 
-    p = sub.add_parser(
-        "nl-demo", parents=[common], help="synthetic Noether-Lefschetz transfer demo"
-    )
+    p = command("nl-demo", cmd_nl_demo, "synthetic Noether-Lefschetz transfer demo")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mmax", type=int, default=2)
     p.add_argument("--hmax", type=int, default=2, help="square label bound for the primitive part")
     p.add_argument("--umax", type=int, default=8)
     p.add_argument("--triangular", action="store_true", help="unit upper-triangular matrix")
-    p.set_defaults(func=cmd_nl_demo)
 
-    p = sub.add_parser("check", parents=[common], help="run the full identity suite")
+    p = command("check", cmd_check, "run the full identity suite")
     p.add_argument("--umax", type=int, default=12)
     p.add_argument("--dmax", type=int, default=3, help="MNOP sweep divisibility bound")
     p.add_argument("--hmax", type=int, default=3, help="MNOP sweep square-label bound")
@@ -487,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="test mode: corrupt one pairs coefficient and prove the suite catches it",
     )
-    p.set_defaults(func=cmd_check)
     return parser
 
 
@@ -507,6 +447,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        if args.format == "csv" and not args.csv:
+            raise UsageError(f"{args.command} supports --format json or pretty, not csv")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,14 +54,29 @@ def test_gw_from_kkv_primitive(capsys):
 
 
 def test_pairs_footnote(capsys):
-    code, out, _ = run_cli(
-        capsys, "pairs", "--h", "0", "--d", "1", "--check-symmetry", "--format", "json"
-    )
+    code, out, _ = run_cli(capsys, "pairs", "--h", "0", "--d", "1", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["function"] == {"numerator": ["0", "1"], "denominator": ["1", "2", "1"]}
-    assert payload["symmetric"] is True
     assert payload["expansion"]["coefficients"][:4] == ["1", "-2", "3", "-4"]
+
+
+def test_pairs_symmetry_is_checked_without_a_flag(capsys, monkeypatch):
+    import k3bps.pairs as pairs
+    from k3bps.rational import RationalFunction
+
+    assert run_cli(capsys, "pairs", "--check-symmetry")[0] == 2
+    real = pairs.primitive_pairs_ratfn
+    monkeypatch.setattr(
+        pairs, "primitive_pairs_ratfn", lambda h, grid: real(h, grid) + RationalFunction.monomial(1)
+    )
+    code, out, err = run_cli(capsys, "pairs", "--d", "1", "--h", "1")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "internal check failed: primitive series at h=1 is not invariant under q <-> 1/q: "
+        "arithmetic bug\n"
+    )
 
 
 def test_pairs_imprimitive(capsys):
@@ -308,15 +323,17 @@ def test_work_bound_at_limit_is_allowed(capsys, monkeypatch):
         ("MAX_Q_ORDER", ["pairs", "--d", "2", "--h", "1", "--qmax"], 0),
         ("MAX_GRID_COLUMN", ["table", "--hmax", "2", "--gmax"], 0),
         ("MAX_CHECK_CASES", ["check", "--quick", "--cases"], 1),
+        ("MAX_GRID_COLUMN", ["gw", "--single-state", "--dmax"], 1),
     ],
 )
 def test_work_bound_follows_its_constant(capsys, monkeypatch, constant, argv, lowest):
     monkeypatch.setattr(f"k3bps.cli.{constant}", 3)
+    note = ", the divisibility bound" if argv[-1] == "--dmax" else ""
     assert run_cli(capsys, *argv, "3")[0] == 0
     code, out, err = run_cli(capsys, *argv, "4")
     assert code == 2
     assert out == ""
-    assert err == f"error: {argv[-1]} must be an integer from {lowest} to 3\n"
+    assert err == f"error: {argv[-1]} must be an integer from {lowest} to 3{note}\n"
 
 
 def test_nl_demo_is_deterministic(capsys):
