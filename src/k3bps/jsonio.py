@@ -79,37 +79,32 @@ def grid_from_jsonable(obj: dict) -> KkvBpsGrid:
     return KkvBpsGrid(columns)
 
 
+def _entries_to_jsonable(entries: dict) -> list[dict]:
+    """The ``{"g", "d", "value"}`` list shared by BPS tables and GW potentials."""
+    return [{"g": g, "d": d, "value": scalar_to_str(v)} for (g, d), v in sorted(entries.items())]
+
+
+def _entries_from_jsonable(items: list[dict]) -> dict:
+    return {(int(e["g"]), int(e["d"])): scalar_from_str(e["value"]) for e in items}
+
+
 def table_to_jsonable(table: BpsTable) -> dict:
-    return {
-        "entries": [
-            {"g": g, "d": d, "value": scalar_to_str(v)}
-            for (g, d), v in sorted(table.entries.items())
-        ],
-    }
+    return {"entries": _entries_to_jsonable(table.entries)}
 
 
 def table_from_jsonable(obj: dict) -> BpsTable:
-    entries = {
-        (int(e["g"]), int(e["d"])): scalar_from_str(e["value"]) for e in obj["entries"]
-    }
-    return BpsTable(entries)
+    return BpsTable(_entries_from_jsonable(obj["entries"]))
 
 
 def potential_to_jsonable(potential: GwPotential) -> dict:
     return {
         "u_truncation": potential.u_truncation,
-        "entries": [
-            {"g": g, "d": d, "value": scalar_to_str(v)}
-            for (g, d), v in sorted(potential.entries.items())
-        ],
+        "entries": _entries_to_jsonable(potential.entries),
     }
 
 
 def potential_from_jsonable(obj: dict) -> GwPotential:
-    entries = {
-        (int(e["g"]), int(e["d"])): scalar_from_str(e["value"]) for e in obj["entries"]
-    }
-    return GwPotential(entries, int(obj["u_truncation"]))
+    return GwPotential(_entries_from_jsonable(obj["entries"]), int(obj["u_truncation"]))
 
 
 def matrix_to_jsonable(nl: NlMatrix) -> dict:

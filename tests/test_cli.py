@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -411,6 +412,37 @@ def test_check_reports_every_check_when_a_guard_raises(capsys, monkeypatch):
         in out
     )
     assert lines[13] == "10/13 checks passed; first failure: mnop-grid"
+
+
+@pytest.mark.parametrize(
+    "slot, detail",
+    [
+        # the last digit of column 3 is n_{3,3} = -4
+        (3, re.escape("diagonal entry n_{3,3} = -3 violates (-1)^h*(h+1)")),
+        # a digit past the last slot is a coefficient above the diagonal
+        (4, r"a lambda-coefficient does not fit its \d+-bit slot"),
+    ],
+    ids=["diagonal", "slot-overflow"],
+)
+def test_check_reports_a_broken_grid_per_check(capsys, monkeypatch, slot, detail):
+    import k3bps.kkv as kkv
+
+    real = kkv._unpack
+
+    def unpack(packed, slots, width):
+        # add 1 to digit `slot` of column 3, the column with four slots
+        return real(packed + (1 << (slot * width) if slots == 4 else 0), slots, width)
+
+    monkeypatch.setattr(kkv, "_unpack", unpack)
+    code, out, _ = run_cli(capsys, "check", "--quick")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 14
+    assert lines[13] == "8/13 checks passed; first failure: kkv-table"
+    failed = dict(line[len("FAIL ") :].split(": ", 1) for line in lines if line.startswith("FAIL"))
+    # every check that builds the KKV grid through column 3
+    assert set(failed) == {"kkv-table", "grid-laws", "mnop-grid", "pairs-symmetry", "nl-transfer"}
+    assert all(re.fullmatch(detail, text) for text in failed.values())
 
 
 def test_check_quick_inject_fault_fails_with_location(capsys):

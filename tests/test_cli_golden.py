@@ -33,7 +33,15 @@ COMMANDS = [
         NO_CSV,
         0,
     ),
+    ("check", ["check"], NO_CSV, 0),
     ("check-quick", ["check", "--quick"], NO_CSV, 0),
+    # --quick lowers the MNOP sweep to (2, 2) before the grid-column bound applies
+    (
+        "check-quick-dmax12-hmax3",
+        ["check", "--quick", "--dmax", "12", "--hmax", "3"],
+        ("pretty",),
+        0,
+    ),
     ("check-quick-inject-fault", ["check", "--quick", "--inject-fault"], NO_CSV, 1),
 ]
 CASES = [
