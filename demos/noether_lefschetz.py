@@ -31,7 +31,7 @@ ledger = PairsLedger(grid)
 gw_vec, pairs_vec = synthetic_k3_vectors(labels, grid, 8, ledger)
 print("K3 data per class label (m = divisibility, h = square label):")
 for label in labels:
-    print(f"  (m={label.m}, h={label.h}):  GW series {gw_vec.value(label)}")
+    print(f"  (m={label.m}, h={label.h}):  GW series {gw_vec[label]}")
 print()
 
 rng = Random(2024)
@@ -39,7 +39,7 @@ nl = NlMatrix.random_invertible(rows, labels, rng)
 fib_gw = combine(gw_vec, nl)
 fib_pairs = combine(pairs_vec, nl)
 print("after mixing through a random invertible coefficient matrix:")
-print(f"  fibre-class GW series at beta0: {fib_gw.value('beta0')}")
+print(f"  fibre-class GW series at beta0: {fib_gw['beta0']}")
 print()
 
 recovered = invert_correspondence(fib_gw, nl)
@@ -50,7 +50,7 @@ print(f"MNOP identity transfers through the fibration: {outcome.ok}")
 print()
 
 bump = RationalFunction.monomial(1, Fraction(1, 5)) + RationalFunction.monomial(-1, Fraction(1, 5))
-broken = fib_pairs.replace("beta1", fib_pairs.value("beta1") + bump)
+broken = {**fib_pairs, "beta1": fib_pairs["beta1"] + bump}
 caught = transfer_mnop(fib_gw, broken, nl, 8)
 print("corrupting one fibre-class coefficient and transferring again:")
 print(f"  consistent: {caught.ok}")

@@ -14,8 +14,10 @@ integers or fractions.  The pieces:
 * :mod:`k3bps.pairs` -- stable-pairs rational functions, the multiple cover
   formula, the q = -exp(i*u) substitution and the local MNOP identity check.
 * :mod:`k3bps.nl` -- Noether-Lefschetz style linear correspondences on
-  synthetic data, with exact inversion and identity transfer.
-* :mod:`k3bps.cli` -- the ``k3bps`` command-line tool.
+  synthetic data, with exact inversion and identity transfer; a vector is a
+  plain dict from label to value.
+* :mod:`k3bps.cli` -- the ``k3bps`` command-line tool, and
+  :mod:`k3bps.jsonio` its JSON encoders.
 """
 
 from .bps import (
@@ -39,7 +41,6 @@ from .kkv import (
 )
 from .nl import (
     ClassLabel,
-    InvariantVector,
     NlMatrix,
     SingularMatrixError,
     TransferReport,
@@ -78,7 +79,6 @@ __all__ = [
     "GwPotential",
     "HodgeLabel",
     "I",
-    "InvariantVector",
     "KkvBpsGrid",
     "KkvSeries",
     "LaurentSeries",

@@ -22,7 +22,6 @@ from .graded import GradedSeries
 from .kkv import bps_grid_from_kkv, kkv_product, lambda_decompose, lambda_power, yau_zaslow_series
 from .nl import (
     ClassLabel,
-    InvariantVector,
     NlMatrix,
     combine,
     invert_correspondence,
@@ -217,9 +216,7 @@ def check_nl_roundtrip(rng: Random, cases: int) -> CheckResult:
     labels = (ClassLabel(1, 0), ClassLabel(1, 2), ClassLabel(2, 5))
     rows = ("b1", "b2", "b3")
     for case in range(cases):
-        vector = InvariantVector(
-            {lab: _random_series(rng, "u", rng.choice((-2, 0))) for lab in labels}
-        )
+        vector = {lab: _random_series(rng, "u", rng.choice((-2, 0))) for lab in labels}
         make = NlMatrix.random_invertible if case % 2 else NlMatrix.upper_triangular_unit
         nl = make(rows, labels, rng)
         if invert_correspondence(combine(vector, nl), nl) != vector:
@@ -242,7 +239,7 @@ def check_nl_transfer(rng: Random, cases: int, inject_fault: bool) -> CheckResul
         if inject_fault:
             # corrupt the first case by q + 1/q and report where the transfer catches it
             bump = RationalFunction((1, 0, 1), (0, 1))
-            broken = fib_pairs.replace(rows[0], fib_pairs.value(rows[0]) + bump)
+            broken = {**fib_pairs, rows[0]: fib_pairs[rows[0]] + bump}
             report = transfer_mnop(fib_gw, broken, nl, NL_U_ORDER)
             where = report.failures[0] if report.failures else None
             return CheckResult(
@@ -258,7 +255,7 @@ def check_nl_transfer(rng: Random, cases: int, inject_fault: bool) -> CheckResul
             bump = RationalFunction.monomial(j, eps) + RationalFunction.monomial(-j, eps)
         else:
             bump = RationalFunction.monomial(j, eps)
-        broken = fib_pairs.replace(row, fib_pairs.value(row) + bump)
+        broken = {**fib_pairs, row: fib_pairs[row] + bump}
         if transfer_mnop(fib_gw, broken, nl, NL_U_ORDER):
             return CheckResult("nl-transfer", False, f"case {case}: fault at {row} undetected")
     return CheckResult("nl-transfer", True, f"{cases} random fibrations with fault injection")

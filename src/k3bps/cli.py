@@ -277,7 +277,7 @@ def _demo_labels(m_max: int, h_max: int) -> list[ClassLabel]:
     labels = []
     for m in range(1, m_max + 1):
         for h0 in range(h_max + 1):
-            h = m * m * (h0 - 1) + 1
+            h = HodgeLabel(m, h0).square_label(m)
             if h >= 0:
                 labels.append(ClassLabel(m, h))
     return labels

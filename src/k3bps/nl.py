@@ -4,9 +4,11 @@ A K3-fibred threefold expresses each fibre-class invariant as a fixed
 rational linear combination of K3 invariants indexed by (divisibility m,
 square label h); the combination is the same on the Gromov-Witten and the
 stable-pairs side.  With synthetic (caller-supplied) coefficient matrices the
-correspondence is plain exact linear algebra: combine is the matrix-vector
-product (one ``linear_combination`` of the value type per row), and when the
-matrix is invertible over the rationals the K3 data can be recovered.
+correspondence is plain exact linear algebra.  A vector is a plain dict from
+label to value (u-series or pairs rational functions); combine is the
+matrix-vector product (one ``linear_combination`` of the value type per row),
+and when the matrix is invertible over the rationals the K3 data can be
+recovered.
 
 The substitution q = -exp(i*u) is Q-linear, so for an invertible matrix A the
 MNOP identity holds on every K3 class exactly when it holds on every fibre
@@ -42,6 +44,8 @@ from .scalars import as_fraction
 from .series import LaurentSeries
 
 log = logging.getLogger("k3bps")
+
+ENTRY_BOUND = 5  # random matrix entries are drawn from [-ENTRY_BOUND, ENTRY_BOUND]
 
 
 @dataclass(frozen=True, order=True)
@@ -86,6 +90,8 @@ class NlMatrix:
     def __init__(self, rows: Sequence, cols: Sequence[ClassLabel], data: Sequence[Sequence]) -> None:
         rows = tuple(rows)
         cols = tuple(cols)
+        if not rows or not cols:
+            raise ValueError("an NlMatrix needs at least one row and one column")
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ValueError("row and column labels must be distinct")
         grid = tuple(tuple(as_fraction(v) for v in row) for row in data)
@@ -110,19 +116,13 @@ class NlMatrix:
 
     @classmethod
     def upper_triangular_unit(
-        cls, rows: Sequence, cols: Sequence[ClassLabel], rng: Random, bound: int = 5
+        cls, rows: Sequence, cols: Sequence[ClassLabel], rng: Random
     ) -> "NlMatrix":
         """Unit upper-triangular with random integer entries above the diagonal."""
-        rows = tuple(rows)
-        cols = tuple(cols)
-        if len(rows) != len(cols):
-            raise ValueError("need a square shape")
         n = len(rows)
         data = [
             [
-                Fraction(1)
-                if i == j
-                else (Fraction(rng.randint(-bound, bound)) if j > i else Fraction(0))
+                1 if i == j else (rng.randint(-ENTRY_BOUND, ENTRY_BOUND) if j > i else 0)
                 for j in range(n)
             ]
             for i in range(n)
@@ -131,28 +131,18 @@ class NlMatrix:
 
     @classmethod
     def random_invertible(
-        cls, rows: Sequence, cols: Sequence[ClassLabel], rng: Random, bound: int = 5
+        cls, rows: Sequence, cols: Sequence[ClassLabel], rng: Random
     ) -> "NlMatrix":
         """Dense random integer matrix, redrawn until invertible."""
-        rows = tuple(rows)
-        cols = tuple(cols)
-        if len(rows) != len(cols):
-            raise ValueError("need a square shape")
         n = len(rows)
         while True:
-            data = [
-                [Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)
-            ]
+            data = [[rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(n)] for _ in range(n)]
             candidate = cls(rows, cols, data)
             try:
                 candidate.inverse_data()
             except SingularMatrixError:
                 continue
             return candidate
-
-    @property
-    def is_square(self) -> bool:
-        return len(self.rows) == len(self.cols)
 
     def _eliminate(self) -> tuple[tuple[Fraction, ...], ...] | int:
         """The inverse rows, or the rank if the matrix is singular.
@@ -201,7 +191,7 @@ class NlMatrix:
         the rank, which is raised as a fresh error every time.  A matrix that
         is not square raises a plain ``ValueError`` naming its shape.
         """
-        if not self.is_square:
+        if len(self.rows) != len(self.cols):
             shape = f"{len(self.rows)}x{len(self.cols)}"
             raise ValueError(f"{shape} NlMatrix has no inverse: only a square matrix does")
         if self._inverse is None:
@@ -214,60 +204,27 @@ class NlMatrix:
         return f"NlMatrix({len(self.rows)}x{len(self.cols)})"
 
 
-class InvariantVector:
-    """Values (u-series or pairs rational functions) indexed by labels."""
-
-    __slots__ = ("labels", "values")
-
-    def __init__(self, values: Mapping) -> None:
-        object.__setattr__(self, "labels", tuple(values))
-        object.__setattr__(self, "values", dict(values))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("InvariantVector is immutable")
-
-    def value(self, label):
-        return self.values[label]
-
-    def replace(self, label, value) -> "InvariantVector":
-        if label not in self.values:
-            raise KeyError(label)
-        out = dict(self.values)
-        out[label] = value
-        return InvariantVector(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InvariantVector):
-            return NotImplemented
-        return self.values == other.values
-
-    def __repr__(self) -> str:
-        return f"InvariantVector({list(self.labels)!r})"
-
-
-def _apply(weights, vector: InvariantVector, inputs, outputs) -> InvariantVector:
+def _apply(weights, vector: Mapping, inputs, outputs) -> dict:
     """The vector whose value at outputs[i] is the sum over j of
     weights[i][j] * vector[inputs[j]], one ``linear_combination`` per label."""
-    kind = type(vector.value(inputs[0]))
-    return InvariantVector(
-        {
-            label: kind.linear_combination((w, vector.value(x)) for w, x in zip(row, inputs))
-            for label, row in zip(outputs, weights)
-        }
-    )
+    kind = type(vector[inputs[0]])
+    return {
+        label: kind.linear_combination((w, vector[x]) for w, x in zip(row, inputs))
+        for label, row in zip(outputs, weights)
+    }
 
 
-def combine(k3: InvariantVector, nl: NlMatrix) -> InvariantVector:
+def combine(k3: Mapping, nl: NlMatrix) -> dict:
     """Fibre-class invariants as the NL-weighted sums of K3 invariants."""
-    if set(k3.labels) != set(nl.cols):
+    if set(k3) != set(nl.cols):
         raise ValueError("vector labels do not match the matrix columns")
     return _apply(nl.data, k3, nl.cols, nl.rows)
 
 
-def invert_correspondence(fib: InvariantVector, nl: NlMatrix) -> InvariantVector:
+def invert_correspondence(fib: Mapping, nl: NlMatrix) -> dict:
     """Recover the K3 vector from fibre-class data: the unique solution of
     combine(result, nl) == fib for an invertible matrix."""
-    if set(fib.labels) != set(nl.rows):
+    if set(fib) != set(nl.rows):
         raise ValueError("vector labels do not match the matrix rows")
     return _apply(nl.inverse_data(), fib, nl.rows, nl.cols)
 
@@ -277,7 +234,7 @@ def synthetic_k3_vectors(
     grid: KkvBpsGrid,
     u_order: int,
     ledger: PairsLedger | None = None,
-) -> tuple[InvariantVector, InvariantVector]:
+) -> tuple[dict, dict]:
     """Consistent (GW u-series, pairs rational function) vectors from KKV data."""
     if ledger is None:
         ledger = PairsLedger(grid)
@@ -288,7 +245,7 @@ def synthetic_k3_vectors(
         table = bps_table_from_grid(grid, hodge.d, hodge.h)
         gw_values[label] = gw_grade_series(table, hodge.d, u_order)
         pairs_values[label] = multiple_cover(hodge, grid, ledger)
-    return InvariantVector(gw_values), InvariantVector(pairs_values)
+    return gw_values, pairs_values
 
 
 @dataclass(frozen=True)
@@ -303,8 +260,8 @@ class TransferReport:
 
 
 def transfer_mnop(
-    fib_gw: InvariantVector,
-    fib_pairs: InvariantVector,
+    fib_gw: Mapping,
+    fib_pairs: Mapping,
     nl: NlMatrix,
     u_order: int,
 ) -> TransferReport:
@@ -325,13 +282,13 @@ def transfer_mnop(
     that label.  A singular matrix raises :class:`SingularMatrixError` even
     when every row agrees.
     """
-    if set(fib_gw.labels) != set(nl.rows) or set(fib_pairs.labels) != set(nl.rows):
+    if set(fib_gw) != set(nl.rows) or set(fib_pairs) != set(nl.rows):
         raise ValueError("vector labels do not match the matrix rows")
     inverse = nl.inverse_data()
     substituted = {}
     failed = {}
     for row in nl.rows:
-        entry = fib_pairs.value(row)
+        entry = fib_pairs[row]
         substituted[row] = LaurentSeries.zero("u", u_order)
         if not entry.is_zero:
             try:
@@ -339,18 +296,18 @@ def transfer_mnop(
             except ArithmeticError as err:
                 failed[row] = err
     if not failed and all(
-        fib_gw.value(row).first_difference(substituted[row], u_order) is None for row in nl.rows
+        fib_gw[row].first_difference(substituted[row], u_order) is None for row in nl.rows
     ):
         return TransferReport(True, ())
     k3_gw = invert_correspondence(fib_gw, nl)
-    k3_pairs = invert_correspondence(InvariantVector(substituted), nl)
+    k3_pairs = invert_correspondence(substituted, nl)
     failures = []
     for label, weights in zip(nl.cols, inverse):
         bad = next((row for row, w in zip(nl.rows, weights) if w and row in failed), None)
         if bad is not None:
             failures.append((label, "substitution failed", f"fibre row {bad!r}: {failed[bad]}"))
             continue
-        mismatch = k3_gw.value(label).first_difference(k3_pairs.value(label), u_order)
+        mismatch = k3_gw[label].first_difference(k3_pairs[label], u_order)
         if mismatch:
             failures.append((label, *mismatch))
     return TransferReport(not failures, tuple(failures))

@@ -86,7 +86,7 @@ def grid_column(d: int, h: int) -> int:
     For beta primitive with square label h this is the square label
     d^2 (h-1) + 1 of d*beta, never below h or 0.
     """
-    return max(d * d * (h - 1) + 1, h, 0)
+    return max(HodgeLabel(d, h).square_label(d), h)
 
 
 def primitive_pairs_ratfn(h: int, grid: KkvBpsGrid) -> RationalFunction:

@@ -14,7 +14,6 @@ from k3bps import (
     GradedSeries,
     GwPotential,
     HodgeLabel,
-    InvariantVector,
     LaurentSeries,
     NlMatrix,
     PairsLedger,
@@ -218,14 +217,10 @@ def test_criterion_8e_nl_roundtrip_and_fault_detection(grid5):
     rows = ("b0", "b1", "b2")
     # combine/invert roundtrip on random data
     for _ in range(CASES):
-        vector = InvariantVector(
-            {
-                lab: LaurentSeries(
-                    "u", -2, [_random_fraction(rng) for _ in range(7)], 4
-                )
-                for lab in labels
-            }
-        )
+        vector = {
+            lab: LaurentSeries("u", -2, [_random_fraction(rng) for _ in range(7)], 4)
+            for lab in labels
+        }
         nl = NlMatrix.random_invertible(rows, labels, rng)
         assert invert_correspondence(combine(vector, nl), nl) == vector
     # transfer consistency plus single-coefficient fault detection
@@ -243,7 +238,7 @@ def test_criterion_8e_nl_roundtrip_and_fault_detection(grid5):
         bump = RationalFunction.monomial(j, eps)
         if rng.random() < 0.5:
             bump = bump + RationalFunction.monomial(-j, eps)
-        broken = fib_pairs.replace(row, fib_pairs.value(row) + bump)
+        broken = {**fib_pairs, row: fib_pairs[row] + bump}
         outcome = transfer_mnop(fib_gw, broken, nl, 8)
         assert not outcome.ok, "injected fault went undetected"
         assert outcome.failures

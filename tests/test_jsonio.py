@@ -1,92 +1,116 @@
+"""Each JSON encoder against a literal: exact strings, never floats, and a
+payload that a round trip through JSON text leaves unchanged."""
+
 import json
 from fractions import Fraction
 from random import Random
 
 from k3bps import (
-    BpsTable,
     ClassLabel,
     GwPotential,
-    InvariantVector,
     LaurentSeries,
     NlMatrix,
     RationalFunction,
     bps_grid_from_kkv,
 )
 from k3bps.jsonio import (
-    grid_from_jsonable,
     grid_to_jsonable,
-    matrix_from_jsonable,
     matrix_to_jsonable,
-    potential_from_jsonable,
     potential_to_jsonable,
-    ratfn_from_jsonable,
     ratfn_to_jsonable,
-    scalar_from_str,
     scalar_to_str,
-    series_from_jsonable,
     series_to_jsonable,
-    table_from_jsonable,
-    table_to_jsonable,
-    vector_from_jsonable,
     vector_to_jsonable,
 )
 
+FOOTNOTE = RationalFunction((0, 1), (1, 2, 1))  # q/(1+q)^2
+FOOTNOTE_JSON = {"numerator": ["0", "1"], "denominator": ["1", "2", "1"]}
 
-def through_json(payload):
-    return json.loads(json.dumps(payload))
+
+def assert_encodes(payload, expected):
+    assert payload == expected
+    assert json.loads(json.dumps(payload)) == payload
 
 
 def test_scalars_are_exact_strings():
     assert scalar_to_str(Fraction(1, 8)) == "1/8"
+    assert scalar_to_str(Fraction(-24, 2)) == "-12"
     assert scalar_to_str(24) == "24"
-    assert scalar_from_str("1/8") == Fraction(1, 8)
-    assert scalar_from_str("24") == 24
 
 
 def test_series_roundtrip():
+    # dense from min_degree up to the truncation order, zeros included
     series = LaurentSeries("u", -2, [1, 0, Fraction(1, 12), 0, Fraction(1, 240)], 4)
-    again = series_from_jsonable(through_json(series_to_jsonable(series)))
-    assert again == series
+    assert_encodes(
+        series_to_jsonable(series),
+        {
+            "variable": "u",
+            "min_degree": -2,
+            "truncation_order": 4,
+            "coefficients": ["1", "0", "1/12", "0", "1/240", "0", "0"],
+        },
+    )
 
 
 def test_ratfn_roundtrip():
-    fn = RationalFunction((0, 1), (1, 2, 1))
-    assert ratfn_from_jsonable(through_json(ratfn_to_jsonable(fn))) == fn
+    assert_encodes(ratfn_to_jsonable(FOOTNOTE), FOOTNOTE_JSON)
+    assert_encodes(
+        ratfn_to_jsonable(RationalFunction((1,), (2,))), {"numerator": ["1/2"], "denominator": ["1"]}
+    )
 
 
 def test_grid_roundtrip():
-    grid = bps_grid_from_kkv(4)
-    payload = through_json(grid_to_jsonable(grid))
-    assert payload["values"][0][4] == "25650"
-    assert grid_from_jsonable(payload) == grid
-
-
-def test_table_roundtrip():
-    table = BpsTable({(0, 1): 1, (2, 3): Fraction(5, 2)})
-    assert table_from_jsonable(through_json(table_to_jsonable(table))) == table
+    # rows by genus up to g_max, here one above h_max and all zero
+    assert_encodes(
+        grid_to_jsonable(bps_grid_from_kkv(2), 3),
+        {
+            "h_max": 2,
+            "g_max": 3,
+            "values": [
+                ["1", "24", "324"],
+                ["0", "-2", "-54"],
+                ["0", "0", "3"],
+                ["0", "0", "0"],
+            ],
+        },
+    )
 
 
 def test_potential_roundtrip():
-    potential = GwPotential({(0, 1): Fraction(1, 8), (1, 2): 3}, 6)
-    assert potential_from_jsonable(through_json(potential_to_jsonable(potential))) == potential
+    potential = GwPotential({(1, 2): 3, (0, 1): Fraction(1, 8)}, 6)
+    assert_encodes(
+        potential_to_jsonable(potential),
+        {
+            "u_truncation": 6,
+            "entries": [{"g": 0, "d": 1, "value": "1/8"}, {"g": 1, "d": 2, "value": "3"}],
+        },
+    )
 
 
 def test_matrix_roundtrip():
     labels = (ClassLabel(1, 0), ClassLabel(2, 5))
     nl = NlMatrix.random_invertible(("a", "b"), labels, Random(3))
-    again = matrix_from_jsonable(through_json(matrix_to_jsonable(nl)))
-    assert again.rows == nl.rows
-    assert again.cols == nl.cols
-    assert again.data == nl.data
+    assert_encodes(
+        matrix_to_jsonable(nl),
+        {"rows": ["a", "b"], "cols": [[1, 0], [2, 5]], "entries": [["-2", "4"], ["3", "-3"]]},
+    )
 
 
 def test_vector_roundtrip_mixed_kinds():
-    labels = (ClassLabel(1, 0), ClassLabel(1, 1))
-    series_vec = InvariantVector(
-        {labels[0]: LaurentSeries("u", -2, [1, 0, 1], 2), labels[1]: LaurentSeries.one("u", 2)}
+    vector = {"b0": LaurentSeries("u", -2, [1, 0, Fraction(-1, 3)], 0), "b1": FOOTNOTE}
+    assert_encodes(
+        vector_to_jsonable(vector),
+        {
+            "labels": ["b0", "b1"],
+            "values": [
+                {
+                    "kind": "series",
+                    "variable": "u",
+                    "min_degree": -2,
+                    "truncation_order": 0,
+                    "coefficients": ["1", "0", "-1/3"],
+                },
+                {"kind": "rational", **FOOTNOTE_JSON},
+            ],
+        },
     )
-    ratfn_vec = InvariantVector(
-        {"b0": RationalFunction((0, 1), (1, 2, 1)), "b1": RationalFunction((3,))}
-    )
-    assert vector_from_jsonable(through_json(vector_to_jsonable(series_vec))) == series_vec
-    assert vector_from_jsonable(through_json(vector_to_jsonable(ratfn_vec))) == ratfn_vec

@@ -4,9 +4,9 @@ from random import Random
 
 import pytest
 
+from k3bps import nl as nl_module
 from k3bps import (
     ClassLabel,
-    InvariantVector,
     LaurentSeries,
     NlMatrix,
     RationalFunction,
@@ -28,7 +28,7 @@ def series(*coeffs, lo=0):
 
 
 def vector_of_series(values):
-    return InvariantVector(dict(zip(LABELS, values)))
+    return dict(zip(LABELS, values))
 
 
 def test_class_label_validation():
@@ -50,17 +50,17 @@ def test_zero_matrix_gives_zero_vector():
     vec = vector_of_series([series(1, 2), series(0, 3), series(5)])
     zero = NlMatrix(ROWS, LABELS, [[0] * 3 for _ in range(3)])
     out = combine(vec, zero)
-    assert all(out.value(r).is_zero for r in ROWS)
+    assert all(out[r].is_zero for r in ROWS)
 
 
 def test_two_by_two_upper_triangular_by_hand():
     labels = LABELS[:2]
     a, b = series(1, 1), series(0, 2)
-    vec = InvariantVector({labels[0]: a, labels[1]: b})
+    vec = {labels[0]: a, labels[1]: b}
     nl = NlMatrix(("r0", "r1"), labels, [[1, 3], [0, 1]])
     out = combine(vec, nl)
-    assert out.value("r0") == a + b * 3
-    assert out.value("r1") == b
+    assert out["r0"] == a + b * 3
+    assert out["r1"] == b
     assert invert_correspondence(out, nl) == vec
 
 
@@ -69,6 +69,12 @@ def test_label_mismatch_rejected():
     nl = NlMatrix.identity(LABELS[:2])
     with pytest.raises(ValueError, match="labels"):
         combine(vec, nl)
+
+
+@pytest.mark.parametrize("rows, cols", [((), ()), (ROWS, ()), ((), LABELS)])
+def test_matrix_needs_a_row_and_a_column(rows, cols):
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        NlMatrix(rows, cols, [[] for _ in rows])
 
 
 def test_singular_matrix_reports_rank():
@@ -88,8 +94,8 @@ def test_non_square_matrix_has_no_inverse(rows, cols):
     with pytest.raises(ValueError, match=message) as exc:
         nl.inverse_data()
     assert not isinstance(exc.value, SingularMatrixError)
-    fib_gw = InvariantVector({row: series(1) for row in rows})
-    fib_pairs = InvariantVector({row: RationalFunction.one() for row in rows})
+    fib_gw = {row: series(1) for row in rows}
+    fib_pairs = {row: RationalFunction.one() for row in rows}
     with pytest.raises(ValueError, match=message):
         invert_correspondence(fib_gw, nl)
     with pytest.raises(ValueError, match=message):
@@ -154,7 +160,7 @@ def test_inverse_is_computed_once_per_matrix(monkeypatch):
 
 def test_random_invertible_tests_each_draw_through_inverse_data(monkeypatch):
     # the public entry point sees every draw, so a caller counting its
-    # raises counts the singular redraws; Random(0) redraws once at bound 1
+    # raises counts the singular redraws; Random(0) redraws once at ENTRY_BOUND 1
     outcomes = []
     inverse_data = NlMatrix.inverse_data
 
@@ -168,7 +174,8 @@ def test_random_invertible_tests_each_draw_through_inverse_data(monkeypatch):
         return inverse
 
     monkeypatch.setattr(NlMatrix, "inverse_data", recorded)
-    NlMatrix.random_invertible(ROWS, LABELS, Random(0), bound=1)
+    monkeypatch.setattr(nl_module, "ENTRY_BOUND", 1)
+    NlMatrix.random_invertible(ROWS, LABELS, Random(0))
     assert outcomes == ["singular", "inverse"]
 
 
@@ -205,7 +212,7 @@ def test_transfer_locates_symmetric_fault(grid5):
     bump = RationalFunction.monomial(1, Fraction(1, 3)) + RationalFunction.monomial(
         -1, Fraction(1, 3)
     )
-    broken = fib_pairs.replace("b1", fib_pairs.value("b1") + bump)
+    broken = {**fib_pairs, "b1": fib_pairs["b1"] + bump}
     report = transfer_mnop(fib_gw, broken, nl, 8)
     assert not report.ok
     label = report.failures[0][0]
@@ -216,9 +223,7 @@ def test_transfer_flags_asymmetric_fault(grid5):
     gw_vec, pairs_vec = synthetic_k3_vectors(LABELS, grid5, 8)
     nl = NlMatrix.identity(LABELS)
     fib_pairs = combine(pairs_vec, nl)
-    broken = fib_pairs.replace(
-        LABELS[0], fib_pairs.value(LABELS[0]) + RationalFunction.monomial(2)
-    )
+    broken = {**fib_pairs, LABELS[0]: fib_pairs[LABELS[0]] + RationalFunction.monomial(2)}
     report = transfer_mnop(combine(gw_vec, nl), broken, nl, 8)
     assert not report.ok
     assert any(failure[1] == "substitution failed" for failure in report.failures)
@@ -229,7 +234,7 @@ def test_transfer_flags_asymmetry_beyond_the_compared_orders(grid5):
     asymmetric = RationalFunction((0, 0, -14, -14, -6, -1), (1, 2, 1))
     gw_vec, pairs_vec = synthetic_k3_vectors(LABELS, grid5, 8)
     nl = NlMatrix.identity(LABELS)
-    broken = combine(pairs_vec, nl).replace(LABELS[0], asymmetric)
+    broken = {**combine(pairs_vec, nl), LABELS[0]: asymmetric}
     report = transfer_mnop(combine(gw_vec, nl), broken, nl, 0)
     assert [failure[:2] for failure in report.failures] == [(LABELS[0], "substitution failed")]
     assert "not q <-> 1/q symmetric" in report.failures[0][2]
@@ -252,8 +257,8 @@ def _k3_route_transfer(fib_gw, fib_pairs, nl, u_order):
     k3_pairs = invert_correspondence(fib_pairs, nl)
     failures = []
     for label in nl.cols:
-        lhs = k3_gw.value(label)
-        entry = k3_pairs.value(label)
+        lhs = k3_gw[label]
+        entry = k3_pairs[label]
         if getattr(entry, "is_zero", False):
             rhs = LaurentSeries.zero("u", u_order)
         else:
@@ -298,7 +303,7 @@ def test_transfer_matches_the_k3_route_on_seeded_fibrations(grid5):
         fib_pairs = combine(pairs_vec, nl)
         bumped = rng.sample(FOUR_ROWS, 2 if kind == 3 else 1 if kind else 0)
         for row in bumped:
-            fib_pairs = fib_pairs.replace(row, fib_pairs.value(row) + _bump(rng, kind == 1))
+            fib_pairs = {**fib_pairs, row: fib_pairs[row] + _bump(rng, kind == 1)}
         report = transfer_mnop(fib_gw, fib_pairs, nl, u_order)
         ok, expected = _k3_route_transfer(fib_gw, fib_pairs, nl, u_order)
         assert report.ok == ok == (kind == 0), case
@@ -327,7 +332,7 @@ def test_transfer_flags_a_label_where_asymmetric_rows_cancel(grid5):
     fib_pairs = combine(pairs_vec, nl)
     bump = RationalFunction.monomial(2)
     for row in nl.rows:
-        fib_pairs = fib_pairs.replace(row, fib_pairs.value(row) + bump)
+        fib_pairs = {**fib_pairs, row: fib_pairs[row] + bump}
     report = transfer_mnop(fib_gw, fib_pairs, nl, 8)
     assert [f[:2] for f in report.failures] == [
         (labels[0], "substitution failed"),
@@ -351,7 +356,7 @@ def test_transfer_rejects_a_label_mismatch_in_either_vector(grid5, side):
     gw_vec, pairs_vec = synthetic_k3_vectors(LABELS, grid5, 8)
     nl = NlMatrix.identity(LABELS)
     fib = {"gw": combine(gw_vec, nl), "pairs": combine(pairs_vec, nl)}
-    fib[side] = InvariantVector(dict(zip(ROWS, fib[side].values.values())))
+    fib[side] = dict(zip(ROWS, fib[side].values()))
     with pytest.raises(ValueError, match="labels"):
         transfer_mnop(fib["gw"], fib["pairs"], nl, 8)
 
@@ -359,18 +364,18 @@ def test_transfer_rejects_a_label_mismatch_in_either_vector(grid5, side):
 def test_transfer_handles_a_zero_fibre_row_and_a_zero_k3_label(grid5):
     gw_vec, pairs_vec = synthetic_k3_vectors(LABELS, grid5, 8)
     # equal K3 data on the first two labels gives a zero first fibre row
-    gw_vec = gw_vec.replace(LABELS[0], gw_vec.value(LABELS[1]))
-    pairs_vec = pairs_vec.replace(LABELS[0], pairs_vec.value(LABELS[1]))
+    gw_vec = {**gw_vec, LABELS[0]: gw_vec[LABELS[1]]}
+    pairs_vec = {**pairs_vec, LABELS[0]: pairs_vec[LABELS[1]]}
     # and the third K3 label is zero on both sides
-    gw_vec = gw_vec.replace(LABELS[2], LaurentSeries.zero("u", 8))
-    pairs_vec = pairs_vec.replace(LABELS[2], RationalFunction.zero())
+    gw_vec = {**gw_vec, LABELS[2]: LaurentSeries.zero("u", 8)}
+    pairs_vec = {**pairs_vec, LABELS[2]: RationalFunction.zero()}
     nl = NlMatrix(ROWS, LABELS, [[1, -1, 0], [0, 1, 2], [1, 0, 1]])
     fib_gw = combine(gw_vec, nl)
     fib_pairs = combine(pairs_vec, nl)
-    assert fib_pairs.value("b0").is_zero and fib_gw.value("b0").is_zero
+    assert fib_pairs["b0"].is_zero and fib_gw["b0"].is_zero
     report = transfer_mnop(fib_gw, fib_pairs, nl, 8)
     assert report.ok and report.failures == ()
-    broken = fib_pairs.replace("b0", RationalFunction.monomial(0, 3))
+    broken = {**fib_pairs, "b0": RationalFunction.monomial(0, 3)}
     report = transfer_mnop(fib_gw, broken, nl, 8)
     assert (report.ok, report.failures) == _k3_route_transfer(fib_gw, broken, nl, 8)
     assert not report.ok
@@ -382,8 +387,8 @@ def test_transfer_does_no_rational_function_arithmetic(grid5, monkeypatch):
     fib_gw = combine(gw_vec, nl)
     fib_pairs = combine(pairs_vec, nl)
     faulty = [
-        fib_pairs.replace("b1", fib_pairs.value("b1") + RationalFunction((1, 0, 1), (0, 1))),
-        fib_pairs.replace("b2", fib_pairs.value("b2") + RationalFunction.monomial(1)),
+        {**fib_pairs, "b1": fib_pairs["b1"] + RationalFunction((1, 0, 1), (0, 1))},
+        {**fib_pairs, "b2": fib_pairs["b2"] + RationalFunction.monomial(1)},
     ]
     expected = [_k3_route_transfer(fib_gw, broken, nl, 8) for broken in faulty]
 

@@ -377,7 +377,7 @@ def test_substitution_matches_inverse_route_on_rational_nl_combinations(grid20, 
     assert any(w.denominator > 1 for row in weights.data for w in row)
     fibre = combine(pairs_vec, weights)
     for row in rows:
-        fn = fibre.value(row)
+        fn = fibre[row]
         assert any(c.denominator > 1 for c in fn.numerator), row
         top = inverse_route_substitution(fn, 40)
         for u_order in range(41):
