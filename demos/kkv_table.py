@@ -14,9 +14,9 @@ from k3bps import bps_grid_from_kkv, kkv_product, lambda_decompose
 H_MAX = 8
 
 series = kkv_product(H_MAX)
-print(f"q^0 coefficient: {series.coefficient(0)}")
-print(f"q^1 coefficient: {series.coefficient(1)}")
-print(f"  ... = 24 + 2*lambda, since lambda_decompose gives {lambda_decompose(series.coefficient(1))}")
+print(f"q^0 coefficient: {series[0]}")
+print(f"q^1 coefficient: {series[1]}")
+print(f"  ... = 24 + 2*lambda, since lambda_decompose gives {lambda_decompose(series[1])}")
 print()
 
 grid = bps_grid_from_kkv(H_MAX)

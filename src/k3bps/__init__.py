@@ -32,7 +32,6 @@ from .bps import (
 from .graded import GradedSeries
 from .kkv import (
     KkvBpsGrid,
-    KkvSeries,
     bps_grid_from_kkv,
     kkv_product,
     lambda_decompose,
@@ -80,7 +79,6 @@ __all__ = [
     "HodgeLabel",
     "I",
     "KkvBpsGrid",
-    "KkvSeries",
     "LaurentSeries",
     "MnopReport",
     "NlMatrix",

@@ -28,6 +28,7 @@ arbitrary rational input, and integrality is reported rather than assumed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -169,6 +170,7 @@ def sine_bracket(d: int, g: int, order: int) -> LaurentSeries:
 sine_bracket_cache_info = sine_bracket.cache_info
 
 
+@dataclass(frozen=True, slots=True)
 class BpsTable:
     """Finite table of BPS state counts n_{g, d*beta} keyed by (genus, grade).
 
@@ -176,11 +178,11 @@ class BpsTable:
     that the inverse transform can report non-integrality instead of failing.
     """
 
-    __slots__ = ("entries",)
+    entries: Mapping[tuple[int, int], object]
 
-    def __init__(self, entries: Mapping[tuple[int, int], object]) -> None:
+    def __post_init__(self) -> None:
         kept: dict[tuple[int, int], object] = {}
-        for (g, d), value in entries.items():
+        for (g, d), value in self.entries.items():
             g, d = int(g), int(d)
             if g < 0:
                 raise ValueError("genus must be >= 0")
@@ -193,9 +195,6 @@ class BpsTable:
             if value:
                 kept[(g, d)] = value
         object.__setattr__(self, "entries", kept)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("BpsTable is immutable")
 
     @classmethod
     def single_state(cls) -> "BpsTable":
@@ -215,38 +214,28 @@ class BpsTable:
     def non_integral_entries(self) -> list[tuple[int, int]]:
         return sorted(k for k, v in self.entries.items() if not isinstance(v, int))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BpsTable):
-            return NotImplemented
-        return self.entries == other.entries
 
-    def __repr__(self) -> str:
-        return f"BpsTable({self.entries!r})"
-
-
+@dataclass(frozen=True, slots=True)
 class GwPotential:
     """Gromov-Witten invariants N_{g, d*beta} with an explicit u-truncation."""
 
-    __slots__ = ("entries", "u_truncation")
+    entries: Mapping[tuple[int, int], object]
+    u_truncation: int
 
-    def __init__(self, entries: Mapping[tuple[int, int], object], u_truncation: int) -> None:
+    def __post_init__(self) -> None:
         kept: dict[tuple[int, int], Fraction] = {}
-        for (g, d), value in entries.items():
+        for (g, d), value in self.entries.items():
             g, d = int(g), int(d)
             if g < 0 or d < 1:
                 raise ValueError("invalid (genus, grade) key")
             value = as_fraction(value)
-            if 2 * g - 2 > u_truncation:
+            if 2 * g - 2 > self.u_truncation:
                 raise ValueError(
-                    f"entry at genus {g} lies beyond the u-truncation {u_truncation}"
+                    f"entry at genus {g} lies beyond the u-truncation {self.u_truncation}"
                 )
             if value:
                 kept[(g, d)] = value
         object.__setattr__(self, "entries", kept)
-        object.__setattr__(self, "u_truncation", u_truncation)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("GwPotential is immutable")
 
     def value(self, g: int, d: int) -> Fraction:
         return self.entries.get((g, d), Fraction(0))
@@ -259,14 +248,6 @@ class GwPotential:
         lo = min(picked)
         coeffs = [picked.get(k, Fraction(0)) for k in range(lo, self.u_truncation + 1)]
         return LaurentSeries("u", lo, coeffs, self.u_truncation)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GwPotential):
-            return NotImplemented
-        return self.u_truncation == other.u_truncation and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"GwPotential({self.entries!r}, u_truncation={self.u_truncation})"
 
 
 def _primitive_numerators(values: Mapping[int, object], u_order: int):

@@ -18,6 +18,7 @@ data (unit at grade 0); they are mutually inverse.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -28,27 +29,26 @@ def _sum(terms: list):
     return type(terms[0][1]).linear_combination(terms)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class GradedSeries:
     """Finitely many graded entries with an optional grade-0 unit."""
 
-    __slots__ = ("max_degree", "entries", "has_unit")
+    max_degree: int
+    entries: Mapping[int, object]
+    has_unit: bool = False
 
-    def __init__(self, max_degree: int, entries: Mapping[int, object], has_unit: bool = False) -> None:
-        if max_degree < 1:
+    def __post_init__(self) -> None:
+        if self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
         kept = {}
-        for grade, value in entries.items():
+        for grade, value in self.entries.items():
             grade = int(grade)
-            if not 1 <= grade <= max_degree:
-                raise ValueError(f"grade {grade} outside 1..{max_degree}")
+            if not 1 <= grade <= self.max_degree:
+                raise ValueError(f"grade {grade} outside 1..{self.max_degree}")
             if not value.is_zero:
                 kept[grade] = value
-        object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "entries", kept)
-        object.__setattr__(self, "has_unit", bool(has_unit))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("GradedSeries is immutable")
+        object.__setattr__(self, "has_unit", bool(self.has_unit))
 
     def entry(self, grade: int):
         """Stored value at a grade, or None when it is zero/absent."""
@@ -125,16 +125,7 @@ class GradedSeries:
                 out[grade] = _sum(terms)
         return GradedSeries(self.max_degree, out)
 
-    # -- comparison / display ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        return (
-            self.max_degree == other.max_degree
-            and self.has_unit == other.has_unit
-            and self.entries == other.entries
-        )
+    # -- display ---------------------------------------------------------------
 
     def __repr__(self) -> str:
         unit = "1 + " if self.has_unit else ""

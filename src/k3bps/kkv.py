@@ -26,7 +26,8 @@ polynomial, fraction or elimination is involved.
 
 The z-expansion is kept as an independent oracle.  :func:`kkv_product`
 expands the same product as one symmetric Laurent polynomial in z per q^h,
-and :func:`lambda_decompose` rewrites such a polynomial in the basis
+returned as a tuple whose index h holds the q^h coefficient, and
+:func:`lambda_decompose` rewrites such a polynomial in the basis
 lambda^g = (sqrt(z) - 1/sqrt(z))^(2g) by exact triangular elimination; the
 tests compare the two expansions column by column.  Setting z -> 1 kills
 every g > 0 term and leaves the Yau-Zaslow genus-0 series
@@ -36,6 +37,7 @@ prod (1 - q^n)^(-24), computed separately by :func:`yau_zaslow_series`.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -99,45 +101,12 @@ def _z_pair_product(q_order: int) -> list[dict[int, int]]:
     return out
 
 
-class KkvSeries:
-    """Truncated expansion of the KKV product: one symmetric z-polynomial per q^h."""
+def kkv_product(q_order: int) -> tuple[SymLaurentPoly, ...]:
+    """Expand the KKV product in z exactly up to q^q_order (the oracle route).
 
-    __slots__ = ("q_order", "coefficients")
-
-    def __init__(self, q_order: int, coefficients: tuple[SymLaurentPoly, ...]) -> None:
-        if q_order < 0:
-            raise ValueError("q_order must be >= 0")
-        if len(coefficients) != q_order + 1:
-            raise ValueError("need exactly one coefficient per degree 0..q_order")
-        for h, poly in enumerate(coefficients):
-            if poly.degree() > h:
-                raise ArithmeticError(
-                    f"q^{h} coefficient has z-degree {poly.degree()} > {h}; "
-                    "the product expansion violated its degree bound"
-                )
-        object.__setattr__(self, "q_order", q_order)
-        object.__setattr__(self, "coefficients", tuple(coefficients))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("KkvSeries is immutable")
-
-    def coefficient(self, h: int) -> SymLaurentPoly:
-        if not 0 <= h <= self.q_order:
-            raise ValueError(f"q^{h} is outside the computed window 0..{self.q_order}")
-        return self.coefficients[h]
-
-    def specialize_z_one(self) -> LaurentSeries:
-        """The q-series obtained by z -> 1."""
-        return LaurentSeries(
-            "q", 0, [poly.evaluate_at_one() for poly in self.coefficients], self.q_order
-        )
-
-    def __repr__(self) -> str:
-        return f"KkvSeries(q_order={self.q_order})"
-
-
-def kkv_product(q_order: int) -> KkvSeries:
-    """Expand the KKV product in z exactly up to q^q_order (the oracle route)."""
+    Index h holds the q^h coefficient, a symmetric z-polynomial of degree at
+    most h.
+    """
     if q_order < 0:
         raise ValueError("q_order must be >= 0")
     plain = _euler_power_coefficients(q_order, 20)
@@ -151,8 +120,14 @@ def kkv_product(q_order: int) -> KkvSeries:
                 continue
             for zd, v in paired[h - a].items():
                 acc[zd] = acc.get(zd, 0) + scale * v
-        polys.append(SymLaurentPoly(acc))
-    return KkvSeries(q_order, tuple(polys))
+        poly = SymLaurentPoly(acc)
+        if poly.degree() > h:
+            raise ArithmeticError(
+                f"q^{h} coefficient has z-degree {poly.degree()} > {h}; "
+                "the product expansion violated its degree bound"
+            )
+        polys.append(poly)
+    return tuple(polys)
 
 
 @lru_cache(maxsize=None)
@@ -187,6 +162,7 @@ def lambda_decompose(poly: SymLaurentPoly) -> list[Fraction]:
     return out
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class KkvBpsGrid:
     """The triangular grid n_{g,h} for 0 <= g <= h <= h_max.
 
@@ -195,11 +171,11 @@ class KkvBpsGrid:
     enforced at construction.
     """
 
-    __slots__ = ("columns",)
+    columns: tuple[tuple[int, ...], ...]
 
-    def __init__(self, columns) -> None:
+    def __post_init__(self) -> None:
         cols = []
-        for h, column in enumerate(columns):
+        for h, column in enumerate(self.columns):
             column = tuple(int(c) for c in column)
             if len(column) != h + 1:
                 raise ValueError(f"column {h} must hold genera 0..{h}")
@@ -211,9 +187,6 @@ class KkvBpsGrid:
         if not cols:
             raise ValueError("grid needs at least the h = 0 column")
         object.__setattr__(self, "columns", tuple(cols))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("KkvBpsGrid is immutable")
 
     @property
     def h_max(self) -> int:
@@ -234,14 +207,6 @@ class KkvBpsGrid:
         if not 0 <= h <= self.h_max:
             raise ValueError(f"h = {h} beyond the computed bound {self.h_max}")
         return self.columns[h]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KkvBpsGrid):
-            return NotImplemented
-        return self.columns == other.columns
-
-    def __hash__(self) -> int:
-        return hash(self.columns)
 
     def __repr__(self) -> str:
         return f"KkvBpsGrid(h_max={self.h_max})"

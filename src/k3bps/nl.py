@@ -24,7 +24,7 @@ are demonstration data with the right shape.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -48,7 +48,7 @@ log = logging.getLogger("k3bps")
 ENTRY_BOUND = 5  # random matrix entries are drawn from [-ENTRY_BOUND, ENTRY_BOUND]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True, order=True)
 class ClassLabel:
     """A K3 curve class keyed by divisibility m and square label h (square 2h-2)."""
 
@@ -78,32 +78,32 @@ class SingularMatrixError(ValueError):
         self.size = size
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class NlMatrix:
     """Rational matrix of synthetic Noether-Lefschetz coefficients.
 
     Rows carry fibre-class labels (any hashable tags); columns carry
-    :class:`ClassLabel` entries.
+    :class:`ClassLabel` entries.  Equality is identity.
     """
 
-    __slots__ = ("rows", "cols", "data", "_inverse")
+    rows: Sequence
+    cols: Sequence[ClassLabel]
+    data: Sequence[Sequence]
+    _inverse: object = field(default=None, init=False)
 
-    def __init__(self, rows: Sequence, cols: Sequence[ClassLabel], data: Sequence[Sequence]) -> None:
-        rows = tuple(rows)
-        cols = tuple(cols)
+    def __post_init__(self) -> None:
+        rows = tuple(self.rows)
+        cols = tuple(self.cols)
         if not rows or not cols:
             raise ValueError("an NlMatrix needs at least one row and one column")
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ValueError("row and column labels must be distinct")
-        grid = tuple(tuple(as_fraction(v) for v in row) for row in data)
+        grid = tuple(tuple(as_fraction(v) for v in row) for row in self.data)
         if len(grid) != len(rows) or any(len(row) != len(cols) for row in grid):
             raise ValueError("data shape does not match the labels")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", grid)
-        object.__setattr__(self, "_inverse", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("NlMatrix is immutable")
 
     @classmethod
     def identity(cls, labels: Sequence[ClassLabel]) -> "NlMatrix":
@@ -248,7 +248,7 @@ def synthetic_k3_vectors(
     return gw_values, pairs_values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferReport:
     """Label-by-label outcome of transferring the MNOP identity through a fibration."""
 

@@ -53,7 +53,7 @@ from .series import LaurentSeries
 log = logging.getLogger("k3bps")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HodgeLabel:
     """A class d*beta with beta primitive of square 2h-2.
 
@@ -175,7 +175,7 @@ def multiple_cover(
     """
     if ledger is None:
         ledger = PairsLedger(grid)
-    if ledger.grid.columns != grid.columns:
+    if ledger.grid != grid:
         raise ValueError("the ledger was built on another KKV grid than the one passed")
     return ledger.imprimitive(label.d, label.h)
 
@@ -338,7 +338,7 @@ def bps_table_from_grid(grid: KkvBpsGrid, d_max: int, h: int) -> BpsTable:
     return BpsTable(entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MnopReport:
     """Outcome of one local MNOP comparison."""
 

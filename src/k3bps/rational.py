@@ -200,7 +200,7 @@ class RationalFunction:
     def __init__(self, numerator, denominator=(1,)) -> None:
         self._set_normalized(*_reduced(*_integral(numerator, denominator)))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     def _set_normalized(self, num: Poly, den: Poly) -> None:
@@ -410,6 +410,9 @@ class RationalFunction:
         return self._num == coerced._num and self._den == coerced._den
 
     def __hash__(self) -> int:
+        # a constant equals its scalar, so it hashes as the scalar does
+        if len(self._num) <= 1 and len(self._den) == 1:
+            return hash(Fraction(sum(self._num), self._den[0]))
         return hash((self._num, self._den))
 
     def __str__(self) -> str:

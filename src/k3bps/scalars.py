@@ -36,7 +36,7 @@ class GaussianRational:
         object.__setattr__(self, "re", as_fraction(re))
         object.__setattr__(self, "im", as_fraction(im))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
     # -- predicates ---------------------------------------------------------

@@ -15,10 +15,16 @@ product is one integer convolution, reduced once.  Coefficients read back as
 :class:`fractions.Fraction`, never floats.  :meth:`LaurentSeries.inverse`
 alone runs per coefficient: its recurrence over a common denominator would
 grow with every step, while reduced Fractions stay small.
+
+The package's value types are frozen dataclasses, this one included, except
+``RationalFunction``, ``SymLaurentPoly`` and ``GaussianRational``: they also
+equal (and hash as) plain ints and Fractions, which a generated ``__eq__``
+cannot express.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -51,10 +57,15 @@ def _poly_str(coefficients: Sequence, variable: str = "q", start: int = 0) -> st
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class LaurentSeries:
     """A truncated Laurent series ``sum(c_k * x**k for min_degree <= k <= truncation_order)``."""
 
-    __slots__ = ("variable", "min_degree", "truncation_order", "_num", "_den")
+    variable: str
+    min_degree: int
+    truncation_order: int
+    _num: tuple[int, ...]
+    _den: int
 
     def __init__(
         self,
@@ -97,11 +108,11 @@ class LaurentSeries:
             if g != 1:
                 num = tuple(c // g for c in num)
                 den //= g
-        for name, value in zip(self.__slots__, (variable, min_degree, truncation_order, num, den)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("LaurentSeries is immutable")
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "min_degree", min_degree)
+        object.__setattr__(self, "truncation_order", truncation_order)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     # -- constructors ---------------------------------------------------------
 
@@ -308,20 +319,6 @@ class LaurentSeries:
         return result
 
     # -- comparison / display ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (
-            self.variable == other.variable
-            and self.min_degree == other.min_degree
-            and self.truncation_order == other.truncation_order
-            and self._num == other._num
-            and self._den == other._den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.variable, self.min_degree, self.truncation_order, self._num, self._den))
 
     def first_difference(self, other: "LaurentSeries", through: int) -> tuple | None:
         """Lowest ``(degree, a, b)`` up to ``through`` with a != b, or None.

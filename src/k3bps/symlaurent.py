@@ -32,7 +32,7 @@ class SymLaurentPoly:
                 )
         object.__setattr__(self, "_coeffs", coeffs)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("SymLaurentPoly is immutable")
 
     @classmethod
@@ -115,14 +115,6 @@ class SymLaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "SymLaurentPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = SymLaurentPoly.constant(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     # -- comparison / display -------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -133,6 +125,9 @@ class SymLaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its scalar, so it hashes as the scalar does
+        if self.degree() <= 0:
+            return hash(self.coefficient(0))
         return hash(tuple(sorted(self._coeffs.items())))
 
     def __str__(self) -> str:

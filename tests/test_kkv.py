@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import k3bps.kkv as kkv
 from k3bps import (
     SymLaurentPoly,
     bps_grid_from_kkv,
@@ -77,22 +78,36 @@ def grid200():
 
 
 def test_product_constant_term_is_one():
-    assert kkv_product(0).coefficient(0) == SymLaurentPoly.constant(1)
+    assert kkv_product(0)[0] == SymLaurentPoly.constant(1)
 
 
 def test_product_first_coefficient_by_factorwise_expansion():
     # to first order: 20 from (1-q)^-20, 2z from (1-zq)^-2, 2/z from (1-q/z)^-2
-    assert kkv_product(1).coefficient(1) == SymLaurentPoly.from_half({0: 20, 1: 2})
+    assert kkv_product(1)[1] == SymLaurentPoly.from_half({0: 20, 1: 2})
 
 
 def test_product_first_coefficient_at_z_one():
-    assert kkv_product(1).coefficient(1).evaluate_at_one() == 24
+    assert kkv_product(1)[1].evaluate_at_one() == 24
 
 
 def test_product_degree_bound(grid20):
     series = kkv_product(12)
     for h in range(13):
-        assert series.coefficient(h).degree() <= h
+        assert series[h].degree() <= h
+
+
+def test_product_degree_guard_raises(monkeypatch):
+    # a symmetric z^(+-(h+1)) term at q^h breaks the bound deg <= h
+    original = kkv._z_pair_product
+
+    def broken(q_order):
+        out = original(q_order)
+        out[3].update({4: 1, -4: 1})
+        return out
+
+    monkeypatch.setattr(kkv, "_z_pair_product", broken)
+    with pytest.raises(ArithmeticError, match="violated its degree bound"):
+        kkv_product(5)
 
 
 def test_lambda_power_basis_element():
@@ -140,7 +155,7 @@ def test_grid_matches_z_expansion_column_by_column():
     grid = bps_grid_from_kkv(h_max)
     series = kkv_product(h_max)
     for h in range(h_max + 1):
-        decomposed = lambda_decompose(series.coefficient(h))
+        decomposed = lambda_decompose(series[h])
         assert grid.column(h) == tuple((-1) ** g * c for g, c in enumerate(decomposed))
 
 
@@ -241,10 +256,10 @@ def test_yau_zaslow_matches_sympy_product_expansion():
 
 def test_yau_zaslow_equals_z_one_specialization():
     h_max = 20
-    specialized = kkv_product(h_max).specialize_z_one()
+    series = kkv_product(h_max)
     yz = yau_zaslow_series(h_max)
     for h in range(h_max + 1):
-        assert yz.coefficient(h) == specialized.coefficient(h)
+        assert yz.coefficient(h) == series[h].evaluate_at_one()
 
 
 def test_yau_zaslow_equals_genus_zero_row(grid20):
@@ -354,6 +369,6 @@ def test_product_second_coefficient_by_brute_force():
     ):
         total = mul(total, piece)
     expected = SymLaurentPoly(total[2])
-    assert kkv_product(2).coefficient(2) == expected
+    assert kkv_product(2)[2] == expected
     # and its lambda coefficients carry the h = 2 column of the grid
     assert [(-1) ** g * c for g, c in enumerate(lambda_decompose(expected))] == [324, -54, 3]
