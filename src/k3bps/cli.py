@@ -73,11 +73,11 @@ MAX_YAU_ZASLOW_ORDER = 5000
 # while `combine` builds the fibre pairs vector; the transfer that follows
 # sums no rational functions and takes about 0.01 s.
 MAX_NL_DIVISIBILITY = 20
-# Highest pairs --qmax.  The expansion about q = 0 inverts the denominator
-# series coefficient by coefficient on Fractions, so its cost grows about
-# quadratically: `pairs --d 14 --h 2 --qmax 8000 --format json` takes about
-# 3 s on the same host (0.4 s at 1000, 1.2 s at 4000), and every label up to
-# column 200 costs about the same.
+# Highest pairs --qmax.  The expansion about q = 0 divides by the pairs
+# denominator q^S (1+q)^2, three nonzero terms, one Fraction step per
+# coefficient, so its cost grows about linearly: it takes about 0.08 s of
+# the 0.5 s of `pairs --d 14 --h 2 --qmax 8000 --format json` on the same
+# host, and building the function costs more than expanding it at large --d.
 MAX_Q_ORDER = 8000
 # Highest check --cases.  The randomized suites are linear in it: `check
 # --cases 1000` takes about 1.9 s on the same host, 3.4 s with --umax 402.

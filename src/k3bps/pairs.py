@@ -259,22 +259,24 @@ def _even_quotient(alpha: list[int], beta: list[int], r: int, s: int, count: int
     return [x * y for x, y in zip(kappas, lift)], factorial(f) * den << 2 * shift
 
 
-def _work_order(pole: int, zero: int, u_order: int) -> int:
+def _substitution_orders(r: RationalFunction, u_order: int) -> tuple[int, int, int]:
+    """(pole, zero, work): the multiplicities of q = -1 in the denominator and
+    the numerator of r, and :func:`substitution_work_order`."""
+    if r.is_zero:
+        raise ValueError("the zero function has an identically vanishing numerator")
+    numerator, denominator = r.integer_pair
+    pole = _minus_one_multiplicity(denominator)
+    zero = _minus_one_multiplicity(numerator)
     # The quotient of a valuation-`zero` numerator by a valuation-`pole`
     # denominator is valid to work - 2*pole + zero, and the valuation checks
     # need the window to reach both valuations.
-    return max(u_order, 0) + 2 * pole + zero + 2
+    return pole, zero, max(u_order, 0) + 2 * pole + zero + 2
 
 
 def substitution_work_order(r: RationalFunction, u_order: int) -> int:
     """The u-order to which :func:`substitute_q_minus_exp` expands the numerator
     and the denominator of r for a result through u^``u_order``."""
-    if r.is_zero:
-        raise ValueError("the zero function has an identically vanishing numerator")
-    numerator, denominator = r.integer_pair
-    return _work_order(
-        _minus_one_multiplicity(denominator), _minus_one_multiplicity(numerator), u_order
-    )
+    return _substitution_orders(r, u_order)[2]
 
 
 def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
@@ -287,13 +289,9 @@ def substitute_q_minus_exp(r: RationalFunction, u_order: int) -> LaurentSeries:
     the multiplicities of the root q = -1 of the numerator and the denominator,
     which the valuations of the two series must match.
     """
-    if r.is_zero:
-        raise ValueError("the zero function has an identically vanishing numerator")
     start = perf_counter()
+    pole, zero, work = _substitution_orders(r, u_order)
     numerator, denominator = r.integer_pair
-    pole = _minus_one_multiplicity(denominator)
-    zero = _minus_one_multiplicity(numerator)
-    work = _work_order(pole, zero, u_order)
     centre2 = next(i for i, c in enumerate(denominator) if c) + len(denominator) - 1
     alpha = _folded_even_sums(numerator, centre2, work // 2)
     beta = _folded_even_sums(denominator, centre2, work // 2)

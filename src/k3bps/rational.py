@@ -7,9 +7,10 @@ comparison of that pair, the one equality, which the identity checks rely on.
 ``** -1`` is the one inverse (there is no ``/``), and the one composition is
 the multiple-cover change of variable q -> +-q^k.  The public ``numerator``
 and ``denominator`` are the monic view of the same pair, tuples of Fractions
-divided by the leading coefficient of den.  Expansion about q = 0 returns a
-truncated Laurent series; the q <-> 1/q inversion check compares a function
-with its reciprocal substitution, built in canonical form without a gcd.
+divided by the leading coefficient of den.  Expansion about q = 0 divides
+the integer pair as power series after splitting off its powers of q; the
+q <-> 1/q inversion check compares a function with its reciprocal
+substitution, built in canonical form without a gcd.
 
 All polynomial arithmetic is in the integers.  Reduction (a polynomial gcd
 and two exact divisions) is the expensive step.  The gcd is primitive, and
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .series import LaurentSeries, _exact, _poly_str
+from .series import LaurentSeries, _exact, _poly_str, _series_quotient
 
 Poly = tuple
 
@@ -428,19 +429,16 @@ class RationalFunction:
 
 
 def ratfn_expand(a: RationalFunction, order: int) -> LaurentSeries:
-    """Laurent expansion about q = 0 up to and including q**order."""
+    """Laurent expansion about q = 0 up to and including q**order: for
+    num = q^nv N and den = q^dv D, N(0) D(0) != 0, q^(nv-dv) times N / D."""
     if a.is_zero:
         return LaurentSeries.zero("q", order)
     num, den = a.integer_pair
-    nv = _pval(num)
-    dv = _pval(den)
-    shift = nv - dv
-    rel = order - shift
-    if rel < 0:
+    nv, dv = _pval(num), _pval(den)
+    count = order - nv + dv + 1
+    if count < 1:
         return LaurentSeries.zero("q", order)
-    num_unit = LaurentSeries("q", 0, num[nv : nv + rel + 1], rel)
-    den_unit = LaurentSeries("q", 0, den[dv : dv + rel + 1], rel)
-    return (num_unit * den_unit.inverse()).shifted(shift)
+    return LaurentSeries("q", nv - dv, _series_quotient(num[nv:], den[dv:], count), order)
 
 
 def check_q_inversion_symmetry(a: RationalFunction) -> bool:

@@ -12,9 +12,9 @@ stripped so ``min_degree`` is the valuation, zero as ``(0,)`` over 1), so
 equal series have equal fields.  Sums and scalar multiples all go through
 :meth:`LaurentSeries.linear_combination` (one lcm, one reduction), and a
 product is one integer convolution, reduced once.  Coefficients read back as
-:class:`fractions.Fraction`, never floats.  :meth:`LaurentSeries.inverse`
-alone runs per coefficient: its recurrence over a common denominator would
-grow with every step, while reduced Fractions stay small.
+:class:`fractions.Fraction`, never floats.  Division alone (inverse and
+``ratfn_expand``) runs per coefficient in :func:`_series_quotient`: one common
+denominator would grow with every step, while reduced Fractions stay small.
 
 The package's value types are frozen dataclasses, this one included, except
 ``RationalFunction``, ``SymLaurentPoly`` and ``GaussianRational``: they also
@@ -55,6 +55,22 @@ def _poly_str(coefficients: Sequence, variable: str = "q", start: int = 0) -> st
         else:
             parts.append(f"{c}*{power}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _series_quotient(num: Sequence, den: Sequence, count: int) -> list[Fraction]:
+    """The first ``count`` coefficients of the power series num / den, den_0 != 0:
+    b_n = (num_n - sum_(k>=1) den_k b_(n-k)) / den_0, over the nonzero den_k."""
+    lead = Fraction(den[0])
+    terms = [(k, c) for k, c in enumerate(den[1:count], 1) if c]
+    out: list[Fraction] = []
+    for n in range(count):
+        acc = Fraction(num[n]) if n < len(num) else Fraction(0)
+        for k, c in terms:
+            if k > n:
+                break
+            acc -= c * out[n - k]
+        out.append(acc / lead)
+    return out
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -182,16 +198,6 @@ class LaurentSeries:
             self.variable, self.min_degree, self._num[:keep], self._den, truncation_order
         )
 
-    def shifted(self, degrees: int) -> "LaurentSeries":
-        """Multiply by ``x**degrees``."""
-        return LaurentSeries._from_integers(
-            self.variable,
-            self.min_degree + degrees,
-            self._num,
-            self._den,
-            self.truncation_order + degrees,
-        )
-
     def rescaled(self, k) -> "LaurentSeries":
         """Substitute x -> k*x: the coefficient c_n becomes c_n * k**n, in the same window.
 
@@ -289,22 +295,13 @@ class LaurentSeries:
         """Multiplicative inverse to the propagated truncation order.
 
         A series of valuation m inverts to one of valuation -m, known to
-        order ``truncation_order - 2*m``, by a recurrence on reduced Fractions.
+        order ``truncation_order - 2*m``, by :func:`_series_quotient`.
         """
         val = self.valuation()
         if val is None:
             raise ZeroDivisionError("cannot invert an identically-zero series")
-        order = self.truncation_order - 2 * val
-        a = self.coefficients  # the unit part a_0 + a_1 x + ..., a_0 the leading term
-        lead_inv = 1 / a[0]
-        b = [lead_inv] + [Fraction(0)] * (len(a) - 1)
-        for n in range(1, len(a)):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if a[k]:
-                    acc += a[k] * b[n - k]
-            b[n] = -lead_inv * acc
-        return LaurentSeries(self.variable, -val, b, order)
+        b = _series_quotient((self._den,), self._num, len(self._num))
+        return LaurentSeries(self.variable, -val, b, self.truncation_order - 2 * val)
 
     def __pow__(self, exponent: int) -> "LaurentSeries":
         if not isinstance(exponent, int):

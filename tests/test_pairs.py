@@ -384,6 +384,25 @@ def test_substitution_matches_inverse_route_on_rational_nl_combinations(grid20, 
             assert substitute_q_minus_exp(fn, u_order) == top.truncate(u_order), (row, u_order)
 
 
+def test_pairs_side_of_mnop_reads_nothing_of_the_series_quotient(monkeypatch, grid20, ledger20):
+    # inverse_route_substitution divides by the same kernel as LaurentSeries.inverse;
+    # the side it checks must not, or the oracle would compare the kernel with itself
+    labels = [HodgeLabel(d, h) for d in (1, 2, 3) for h in (0, 1, 2)]
+    functions = [FOOTNOTE, FOOTNOTE ** -2] + [multiple_cover(x, grid20, ledger20) for x in labels]
+    substituted = [substitute_q_minus_exp(fn, 16) for fn in functions]
+    reports = [mnop_check(x, grid20, 12, ledger20) for x in labels]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pairs side of MNOP divided by the series quotient")
+
+    monkeypatch.setattr("k3bps.series._series_quotient", forbidden)
+    monkeypatch.setattr("k3bps.rational._series_quotient", forbidden)
+    with pytest.raises(AssertionError, match="pairs side"):
+        LaurentSeries("u", 0, [1, 1], 4).inverse()
+    assert [substitute_q_minus_exp(fn, 16) for fn in functions] == substituted
+    assert [mnop_check(x, grid20, 12, ledger20) for x in labels] == reports
+
+
 def test_substitution_below_the_valuation_is_the_zero_series():
     # q/(1+q)^2 starts at u^-2, (1+q)^4/q^2 at u^4
     for fn, u_order in ((FOOTNOTE, -3), (FOOTNOTE, -4), (FOOTNOTE ** -2, 3), (FOOTNOTE ** -2, -1)):

@@ -1,17 +1,23 @@
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3bps import (
+    HodgeLabel,
+    LaurentSeries,
     RationalFunction,
+    bps_grid_from_kkv,
     check_q_inversion_symmetry,
+    multiple_cover,
     ratfn_expand,
 )
 from k3bps.jsonio import ratfn_to_jsonable
-from k3bps.rational import _pexact_div
+from k3bps.pairs import grid_column
+from k3bps.rational import _pexact_div, _pval
 
 coeffs = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=5
@@ -128,6 +134,81 @@ def test_expand_pole_at_zero():
 
 def test_expand_zero_function():
     assert ratfn_expand(RationalFunction.zero(), 5).is_zero
+
+
+def test_expand_divides_without_series_inverse_or_product(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ratfn_expand went through a series inverse or product")
+
+    for name in ("inverse", "__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentSeries, name, forbidden)
+    series = ratfn_expand(RationalFunction((1, 2), (0, 0, 3, -1)), 6)
+    assert series.coefficients == tuple(
+        Fraction(1 if n == -2 else 7, 3 ** (n + 3)) for n in range(-2, 7)
+    )
+
+
+def _random_function(rng: Random) -> RationalFunction:
+    """q^a N / (q^b D) with small random N, D, and D(0) drawn from +-1..+-5."""
+    num = [0] * rng.randint(0, 2) + [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+    den = [0] * rng.randint(0, 3) + [rng.choice((-5, -3, -2, -1, 1, 2, 4, 5))]
+    den += [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))]
+    return RationalFunction(num, den)
+
+
+def _sympy_expansion_matches(fn, order, expansion):
+    """Compare every coefficient through q^order with sympy's own expansion."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    num, den = fn.integer_pair
+    expr = sum(c * q**j for j, c in enumerate(num)) / sum(c * q**j for j, c in enumerate(den))
+    oracle = sympy.series(expr, q, 0, order + 1).removeO()
+    assert expansion.truncation_order == order
+    for n in range(-len(den), order + 1):
+        c = oracle.coeff(q, n)
+        assert expansion.coefficient(n) == Fraction(int(c.p), int(c.q)), (fn, n)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_expand_matches_sympy_on_random_functions(seed):
+    fn = _random_function(Random(seed))
+    _sympy_expansion_matches(fn, 8, ratfn_expand(fn, 8))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        RationalFunction((2, 1), (0, 0, 5, 1)),  # pole of order 2 at q = 0
+        RationalFunction((0, 0, 1), (3, 0, 1)),  # zero of order 2, den(0) = 3
+        RationalFunction((1, -1), (-4, 0, 0, 7)),  # den(0) = -4
+        RationalFunction.zero(),
+    ],
+)
+def test_expand_matches_sympy_on_edge_functions(fn):
+    _sympy_expansion_matches(fn, 8, ratfn_expand(fn, 8))
+
+
+@pytest.mark.parametrize("d, h", [(14, 2), (60, 1), (12, 2)])
+def test_expand_pairs_functions_matches_sympy_ring_series_to_q300(d, h):
+    # den(0) is 14, 5 and 4 once q^S is split off; sympy inverts by Newton iteration
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+    from sympy.polys.ring_series import rs_mul, rs_series_inversion
+    from sympy.polys.rings import ring
+
+    fn = multiple_cover(HodgeLabel(d, h), bps_grid_from_kkv(grid_column(d, h)))
+    num, den = fn.integer_pair
+    nv, dv = _pval(num), _pval(den)
+    count = 300 - nv + dv + 1
+    _, x = ring("x", QQ)
+    top = sum(c * x**j for j, c in enumerate(num[nv:]))
+    bottom = sum(c * x**j for j, c in enumerate(den[dv:]))
+    quotient = dict(rs_mul(top, rs_series_inversion(bottom, x, count), x, count).terms())
+    expansion = ratfn_expand(fn, 300)
+    assert expansion.min_degree == nv - dv
+    for k in range(count):
+        c = quotient.get((k,), 0)
+        assert expansion.coefficient(nv - dv + k) == Fraction(int(c.numerator), int(c.denominator))
 
 
 def test_inversion_symmetry_examples():

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from k3bps import GaussianRational, LaurentSeries
+from k3bps.series import _series_quotient
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -108,6 +109,38 @@ def test_truncation_propagates_pessimistically():
 def test_inverse_truncation_window():
     a = LaurentSeries("u", 2, [1, 0, 1], 10)
     assert a.inverse().truncation_order == 6
+
+
+def test_series_quotient_by_a_sparse_divisor_with_fraction_lead():
+    # 1 / (3/2 - q^3) = sum_k (2/3)^(k+1) q^(3k)
+    quotient = _series_quotient((1,), (Fraction(3, 2), 0, 0, -1), 10)
+    assert quotient == [Fraction(2, 3) ** (n // 3 + 1) if n % 3 == 0 else 0 for n in range(10)]
+    assert all(type(b) is Fraction for b in quotient)
+
+
+def test_series_quotient_at_count_zero_and_one():
+    assert _series_quotient((5, 7), (3, 1), 0) == []
+    assert _series_quotient((5, 7), (3, 1), 1) == [Fraction(5, 3)]
+    assert _series_quotient((), (-2, 1), 1) == [0]
+
+
+def test_series_quotient_ignores_divisor_terms_beyond_count():
+    # (1 + q) / (2 + q + 5q^3 - 7q^6): only 2 + q is read below q^3
+    quotient = _series_quotient((1, 1), (2, 1, 0, 5, 0, 0, -7), 3)
+    assert quotient == [Fraction(1, 2), Fraction(1, 4), Fraction(-1, 8)]
+    assert quotient == _series_quotient((1, 1), (2, 1), 3)
+
+
+exact_lists = st.lists(rationals, max_size=8)
+
+
+@given(exact_lists, exact_lists.filter(lambda cs: cs and cs[0]), st.integers(0, 10))
+def test_series_quotient_multiplies_back(num, den, count):
+    quotient = _series_quotient(num, den, count)
+    assert len(quotient) == count
+    for n in range(count):
+        back = sum(den[k] * quotient[n - k] for k in range(min(n + 1, len(den))))
+        assert back == (num[n] if n < len(num) else 0)
 
 
 @given(q_series(), q_series(), q_series())
